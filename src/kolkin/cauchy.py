@@ -30,8 +30,15 @@ from .errors import (
     InvalidData,
     NumericalDivergence,
 )
-from .kernels import KernelEvaluation, parametrix_stack, reference_covariance
-from .levi import LeviConfig, _build_lattice, _pair_tensor, terminal_smoothing
+from .kernels import (
+    KernelEvaluation,
+    _combine,
+    _contract,
+    _zero_eval,
+    parametrix_stack,
+    reference_covariance,
+)
+from .levi import LeviConfig, _build_lattice, _neumann_sums, _pair_tensor, terminal_smoothing
 from .problems import CauchyProblem
 from .quadrature import proposal_nodes
 from .structure import matrix_exp
@@ -88,33 +95,6 @@ def _finite_or_raise(arr, what: str):
     return arr
 
 
-def _contract(zx, weights, order):
-    ev = KernelEvaluation(value=float(zx["value"] @ weights))
-    if order >= 1:
-        ev.grad_d = zx["grad_d"].T @ weights
-    if order >= 2:
-        ev.hess_d = np.einsum("mij,m->ij", zx["hess_d"], weights)
-    return ev
-
-
-def _zero_eval(d, order):
-    return KernelEvaluation(
-        value=0.0,
-        grad_d=np.zeros(d) if order >= 1 else None,
-        hess_d=np.zeros((d, d)) if order >= 2 else None,
-    )
-
-
-def _resolvent_sum(pair, omega, w1, depth):
-    """sum_{k=0..depth-1} (causal Nystrom power k) applied to w1."""
-    acc = w1.copy()
-    term = w1
-    for _ in range(depth - 1):
-        term = pair @ (omega * term)
-        acc += term
-    return acc
-
-
 class _PointAssembly:
     """All potentials of one problem at one evaluation point (t, x)."""
 
@@ -169,11 +149,11 @@ class _PointAssembly:
             w1 = terminal_smoothing(
                 cf, S, lat_cfg.cov_nodes, cfg.smoothing_nodes, lat, T, g_fn
             )
-            G = _resolvent_sum(pair, lat.omega, w1, depth)
+            G = _neumann_sums(pair, lat.omega, w1, depth)[-1]
             self.V_Pg = _contract(zx, lat.omega * G, order)
         if pb.f is not None:
             s1 = pair @ (lat.omega * fv)
-            G = _resolvent_sum(pair, lat.omega, s1, depth)
+            G = _neumann_sums(pair, lat.omega, s1, depth)[-1]
             self.V_Pf = _contract(zx, lat.omega * G, order)
 
     def terminal(self) -> KernelEvaluation:
@@ -193,17 +173,6 @@ class _PointAssembly:
             self.d,
             self.order,
         )
-
-
-def _combine(parts, d, order):
-    ev = _zero_eval(d, order)
-    for c, p in parts:
-        ev.value += c * p.value
-        if order >= 1:
-            ev.grad_d = ev.grad_d + c * p.grad_d
-        if order >= 2:
-            ev.hess_d = ev.hess_d + c * p.hess_d
-    return ev
 
 
 def potential_terminal(pb: CauchyProblem, cfg: SolverConfig, t: float, x, order: int = 0) -> KernelEvaluation:

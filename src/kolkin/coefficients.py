@@ -50,9 +50,6 @@ class CoefficientField:
         """
         return (not self.space_dependent_a2) and self.a1 is None and self.a0 is None
 
-    def breaks_in(self, a: float, b: float) -> tuple:
-        return tuple(br for br in self.t_breaks if a < br < b)
-
 
 def _const_matrix(value, d: int) -> np.ndarray:
     A = np.asarray(value, dtype=float)

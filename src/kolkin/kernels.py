@@ -60,6 +60,36 @@ class KernelEvaluation:
     hess_d: Optional[np.ndarray] = None
 
 
+def _zero_eval(d: int, order: int) -> KernelEvaluation:
+    return KernelEvaluation(
+        value=0.0,
+        grad_d=np.zeros(d) if order >= 1 else None,
+        hess_d=np.zeros((d, d)) if order >= 2 else None,
+    )
+
+
+def _contract(zx, weights, order: int) -> KernelEvaluation:
+    """Weighted sum of a batched kernel result (value and derivatives)."""
+    ev = KernelEvaluation(value=float(zx["value"] @ weights))
+    if order >= 1:
+        ev.grad_d = zx["grad_d"].T @ weights
+    if order >= 2:
+        ev.hess_d = np.einsum("mij,m->ij", zx["hess_d"], weights)
+    return ev
+
+
+def _combine(parts, d: int, order: int) -> KernelEvaluation:
+    """Linear combination sum_k c_k ev_k of (c_k, ev_k) pairs."""
+    ev = _zero_eval(d, order)
+    for c, p in parts:
+        ev.value += c * p.value
+        if order >= 1:
+            ev.grad_d = ev.grad_d + c * p.grad_d
+        if order >= 2:
+            ev.hess_d = ev.hess_d + c * p.hess_d
+    return ev
+
+
 def factor_stack(Cs: np.ndarray):
     """Factor a stack of covariances with the positive-definiteness safeguard.
 
@@ -103,17 +133,6 @@ def factor_covariance(C: np.ndarray) -> CovarianceMatrix:
     C = np.asarray(C, dtype=float)
     L, _, logdet = factor_stack(C[None])
     return CovarianceMatrix(C=0.5 * (C + C.T), chol=L[0], logdet=float(logdet[0]))
-
-
-def gaussian_density(C, z) -> float:
-    """Centered Gaussian density with covariance C evaluated at z."""
-    if not isinstance(C, CovarianceMatrix):
-        C = factor_covariance(C)
-    z = np.asarray(z, dtype=float)
-    a = np.linalg.solve(C.chol, z)
-    quad = float(a @ a)
-    n = C.dim
-    return float(np.exp(-0.5 * (n * LOG_2PI + C.logdet + quad)))
 
 
 def _gauss_eval(L_inv, logdet, z, flow, d: int, order: int):
@@ -276,6 +295,29 @@ def reference_gaussian(delta: float, S: DriftStructure, t: float, x, s: float, y
     return float(np.exp(reference_gaussian_log_stack(delta, S, [t], [x], [s], [y])[0]))
 
 
+def _first_kernel(cf, out, t_src, x_src, a2_back) -> np.ndarray:
+    """First kernel from a _gauss_eval result of Z over source-target pairs:
+
+        H = 1/2 (a2(src) - a2_back) : d^2 Z + a1(src) . grad Z + a0(src) Z.
+
+    t_src (source-shaped) and x_src (t_src.shape + (N,)) are evaluated once
+    per source point; a2_back holds a2 at the back-flowed targets, shaped
+    (target-shaped) + (d, d).  Both broadcast to the pair shape of out.
+    """
+    src_shape = np.shape(t_src)
+    d = a2_back.shape[-1]
+    shape = np.broadcast_shapes(src_shape, a2_back.shape[:-2])
+    src = (np.reshape(t_src, -1), np.reshape(x_src, (-1, np.shape(x_src)[-1])))
+    dA = cf.a2(*src).reshape(*src_shape, d, d) - a2_back
+    H = 0.5 * np.einsum("...ij,...ij->...", dA, out["hess_d"].reshape(*shape, d, d))
+    if cf.a1 is not None:
+        a1 = cf.a1(*src).reshape(*src_shape, d)
+        H = H + np.einsum("...i,...i->...", a1, out["grad_d"].reshape(*shape, d))
+    if cf.a0 is not None:
+        H = H + cf.a0(*src).reshape(src_shape) * out["value"].reshape(shape)
+    return H
+
+
 def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODES):
     """Batched first kernel of the correction series: (L Z)(t, x; s, y).
 
@@ -292,14 +334,8 @@ def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODE
     y = np.atleast_2d(np.asarray(y, dtype=float))
     out = parametrix_stack(cf, S, t, x, s, y, order=2, cov_nodes=cov_nodes)
     back = expm_stack(S.B, t - s)
-    flow_y = np.einsum("mij,mj->mi", back, y)
-    dA = cf.a2(t, x) - cf.a2(t, flow_y)
-    H = 0.5 * np.einsum("mij,mij->m", dA, out["hess_d"])
-    if cf.a1 is not None:
-        H = H + np.einsum("mi,mi->m", cf.a1(t, x), out["grad_d"])
-    if cf.a0 is not None:
-        H = H + cf.a0(t, x) * out["value"]
-    return H
+    a2_back = cf.a2(t, np.einsum("mij,mj->mi", back, y))
+    return _first_kernel(cf, out, t, x, a2_back)
 
 
 def levi_first_kernel(cf, S, t: float, x, s: float, y) -> float:

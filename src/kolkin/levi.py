@@ -19,23 +19,27 @@ one kernel-pair tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientField
 from .errors import EmptyInterval, InvalidData, NumericalDivergence
 from .kernels import (
     KernelEvaluation,
+    _combine,
+    _contract,
+    _first_kernel,
     _gauss_eval,
+    _zero_eval,
     factor_stack,
     frozen_covariance_stack,
     levi_first_kernel_stack,
+    parametrix,
     parametrix_stack,
     reference_covariance,
 )
 from .quadrature import gaussian_product, graded_nodes, hermite_lattice, proposal_nodes
-from .structure import DriftStructure, expm_stack
+from .structure import expm_stack
 
 GRADING_CAP = 6.0
 
@@ -135,57 +139,6 @@ def _build_lattice(cf, S, cfg, t, x, s, y=None) -> _Lattice:
     return _Lattice(times, tw, points, w_z, flat_t, flat_x, omega)
 
 
-def _h_block(cf, S, cov_nodes, r_src, src, r_tgt, tgt) -> np.ndarray:
-    """First-kernel values between slice pairs, gathered per target point.
-
-    r_src, r_tgt: (P,) slice times with r_tgt > r_src elementwise; src of
-    shape (P, n_a, N), tgt of shape (P, n_b, N).  Returns (P, n_a, n_b).
-    The expensive frozen covariances are computed once per (pair, target
-    point) rather than per node pair.
-    """
-    N, d = S.N, S.d
-    P, n_a = src.shape[:2]
-    n_b = tgt.shape[1]
-
-    tau = np.repeat(r_tgt, n_b)
-    Cs = frozen_covariance_stack(
-        cf, S, tau, tgt.reshape(-1, N), np.repeat(r_src, n_b), tau, nodes=cov_nodes
-    )
-    _, L_inv, logdet = factor_stack(Cs)
-    L_inv = L_inv.reshape(P, n_b, N, N)
-    logdet = logdet.reshape(P, n_b)
-
-    flow = expm_stack(S.B, r_tgt - r_src)  # (P, N, N)
-    back = expm_stack(S.B, r_src - r_tgt)
-    flowed = np.einsum("pij,paj->pai", flow, src)
-    z = tgt[:, None, :, :] - flowed[:, :, None, :]  # (P, a, b, N)
-
-    flat = (P * n_a * n_b,)
-    L_inv_f = np.broadcast_to(L_inv[:, None], (P, n_a, n_b, N, N)).reshape(*flat, N, N)
-    logdet_f = np.broadcast_to(logdet[:, None], (P, n_a, n_b)).reshape(flat)
-    flow_f = np.broadcast_to(flow[:, None, None], (P, n_a, n_b, N, N)).reshape(*flat, N, N)
-    out = _gauss_eval(L_inv_f, logdet_f, z.reshape(*flat, N), flow_f, d, order=2)
-
-    t_at = np.broadcast_to(r_src[:, None], (P, n_a)).reshape(-1)
-    a2_src = cf.a2(t_at, src.reshape(-1, N)).reshape(P, n_a, d, d)
-    t_bt = np.broadcast_to(r_src[:, None], (P, n_b)).reshape(-1)
-    backed = np.einsum("pij,pbj->pbi", back, tgt)
-    a2_back = cf.a2(t_bt, backed.reshape(-1, N)).reshape(P, n_b, d, d)
-    dA = a2_src[:, :, None] - a2_back[:, None, :]  # (P, a, b, d, d)
-    vals = 0.5 * np.einsum(
-        "pabij,pabij->pab", dA, out["hess_d"].reshape(P, n_a, n_b, d, d)
-    )
-    if cf.a1 is not None:
-        a1 = cf.a1(t_at, src.reshape(-1, N)).reshape(P, n_a, d)
-        vals += np.einsum(
-            "pai,pabi->pab", a1, out["grad_d"].reshape(P, n_a, n_b, d)
-        )
-    if cf.a0 is not None:
-        a0 = cf.a0(t_at, src.reshape(-1, N)).reshape(P, n_a)
-        vals += a0[:, :, None] * out["value"].reshape(P, n_a, n_b)
-    return vals
-
-
 def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> np.ndarray:
     """Terminal datum smoothed once by the first kernel, on the lattice.
 
@@ -221,48 +174,72 @@ def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> n
     zvec = np.broadcast_to(offs[:, None], shape + (N,)).reshape(M, N)
     out = _gauss_eval(L_inv, logdet, zvec, flow_flat, d, order=2)
 
-    t_rep = np.repeat(lat.times, n_z)
-    a2_src = cf.a2(t_rep, lat.flat_x).reshape(n_t, n_z, d, d)
     backed = np.einsum("tij,tacj->taci", backT, y)
     a2_back = cf.a2(t_src, backed.reshape(M, N)).reshape(*shape, d, d)
-    dA = a2_src[:, :, None] - a2_back  # (n_t, n_z, n_c, d, d)
-    H = 0.5 * np.einsum("tacij,tacij->tac", dA, out["hess_d"].reshape(*shape, d, d))
-    if cf.a1 is not None:
-        a1 = cf.a1(t_rep, lat.flat_x).reshape(n_t, n_z, d)
-        H += np.einsum("tai,taci->tac", a1, out["grad_d"].reshape(*shape, d))
-    if cf.a0 is not None:
-        a0 = cf.a0(t_rep, lat.flat_x).reshape(n_t, n_z)
-        H += a0[:, :, None] * out["value"].reshape(shape)
+    t_rep = np.repeat(lat.times, n_z).reshape(n_t, n_z, 1)
+    H = _first_kernel(cf, out, t_rep, lat.points[:, :, None], a2_back)
     gv = np.asarray(g_fn(y_flat), dtype=float).reshape(shape)
     return np.einsum("tc,tac->ta", w_eta, H * gv).reshape(n_t * n_z)
 
 
 def _pair_tensor(cf, S, cfg, lat: _Lattice) -> np.ndarray:
     """Causal Nystrom matrix H[alpha, beta] = H(node_alpha; node_beta),
-    zero unless node_beta sits strictly later in time."""
+    zero unless node_beta sits strictly later in time.
+
+    Slice pairs (r_src < r_tgt) are batched; the expensive frozen
+    covariances are computed once per (pair, target point) rather than per
+    node pair.
+    """
     n_t, n_z = lat.shape
+    N, d = S.N, S.d
     n = n_t * n_z
     H = np.zeros((n, n))
     if n_t < 2:
         return H
     ii, jj = np.triu_indices(n_t, k=1)
-    vals = _h_block(
-        cf, S, cfg.cov_nodes, lat.times[ii], lat.points[ii], lat.times[jj], lat.points[jj]
+    r_src, src, r_tgt, tgt = lat.times[ii], lat.points[ii], lat.times[jj], lat.points[jj]
+    P = ii.size
+
+    tau = np.repeat(r_tgt, n_z)
+    t_src = np.repeat(r_src, n_z)
+    Cs = frozen_covariance_stack(
+        cf, S, tau, tgt.reshape(-1, N), t_src, tau, nodes=cfg.cov_nodes
     )
+    _, L_inv, logdet = factor_stack(Cs)
+    L_inv = L_inv.reshape(P, n_z, N, N)
+    logdet = logdet.reshape(P, n_z)
+
+    flow = expm_stack(S.B, r_tgt - r_src)  # (P, N, N)
+    back = expm_stack(S.B, r_src - r_tgt)
+    flowed = np.einsum("pij,paj->pai", flow, src)
+    z = tgt[:, None, :, :] - flowed[:, :, None, :]  # (P, a, b, N)
+
+    pairs = (P, n_z, n_z)
+    flat = P * n_z * n_z
+    L_inv_f = np.broadcast_to(L_inv[:, None], pairs + (N, N)).reshape(flat, N, N)
+    logdet_f = np.broadcast_to(logdet[:, None], pairs).reshape(flat)
+    flow_f = np.broadcast_to(flow[:, None, None], pairs + (N, N)).reshape(flat, N, N)
+    out = _gauss_eval(L_inv_f, logdet_f, z.reshape(flat, N), flow_f, d, order=2)
+
+    backed = np.einsum("pij,pbj->pbi", back, tgt)
+    a2_back = cf.a2(t_src, backed.reshape(-1, N)).reshape(P, 1, n_z, d, d)
+    t_at = np.broadcast_to(r_src[:, None, None], (P, n_z, 1))
+    vals = _first_kernel(cf, out, t_at, src[:, :, None], a2_back)
     H4 = H.reshape(n_t, n_z, n_t, n_z)
     H4[ii[:, None, None], np.arange(n_z)[None, :, None], jj[:, None, None],
        np.arange(n_z)[None, None, :]] = vals
     return H4.reshape(n, n)
 
 
-def _series_partial(lat: _Lattice, Hmat: np.ndarray, target: np.ndarray, depth: int):
-    """Partial sums F_k = sum_{j<=k} H-composition^j applied to the target."""
-    Fs = [target]
-    F = target
+def _neumann_sums(pair, omega, w1, depth: int) -> list:
+    """Partial sums sum_{k<j} (causal Nystrom power k) applied to w1,
+    for j = 1..depth."""
+    sums = [w1]
+    term = w1
     for _ in range(depth - 1):
-        F = target + Hmat @ (lat.omega * F)
-        Fs.append(F)
-    return Fs
+        term = pair @ (omega * term)
+        sums.append(sums[-1] + term)
+    return sums
 
 
 def _check_finite(arr, lat: _Lattice, what: str):
@@ -274,92 +251,37 @@ def _check_finite(arr, lat: _Lattice, what: str):
         raise NumericalDivergence(f"non-finite {what} on the lattice", point=point)
 
 
-def levi_apply(
-    cf: CoefficientField,
-    S: DriftStructure,
-    cfg: LeviConfig,
-    t: float,
-    x,
-    horizon: float,
-    target_fn: Callable,
-    order: int = 0,
-    lattice: Optional[_Lattice] = None,
-    pair: Optional[np.ndarray] = None,
-):
-    """Contract Z(t,x; ·) against the series resolvent of a terminal functional.
-
-    target_fn(flat_t, flat_x) must return the values of the once-smoothed
-    functional W_1 on the lattice; the result approximates
-    sum_{k=1..depth} int int Z(t,x;r,z) [H-composition^(k-1) W_1](r,z) dz dr,
-    with derivatives falling on the Z factor when order > 0.
-    Returns (KernelEvaluation, lattice, pair_tensor) so callers can reuse
-    the lattice for several functionals.
-    """
-    lat = lattice if lattice is not None else _build_lattice(cf, S, cfg, t, x, horizon)
-    n = lat.omega.size
-    target = np.asarray(target_fn(lat.flat_t, lat.flat_x), dtype=float)
-    _check_finite(target, lat, "smoothed functional")
-    if cfg.depth > 1:
-        if pair is None:
-            pair = _pair_tensor(cf, S, cfg, lat)
-            _check_finite(pair, lat, "kernel pair tensor")
-        F = _series_partial(lat, pair, target, cfg.depth)[-1]
-    else:
-        F = target
-    zx = parametrix_stack(
-        cf,
-        S,
-        np.full(n, t),
-        np.tile(np.asarray(x, dtype=float), (n, 1)),
-        lat.flat_t,
-        lat.flat_x,
-        order=order,
-        cov_nodes=cfg.cov_nodes,
-    )
-    wF = lat.omega * F
-    ev = KernelEvaluation(value=float(zx["value"] @ wF))
-    if order >= 1:
-        ev.grad_d = zx["grad_d"].T @ wF
-    if order >= 2:
-        ev.hess_d = np.einsum("mij,m->ij", zx["hess_d"], wF)
-    return ev, lat, pair
-
-
-def phi_partial_sums(cf, S, cfg: LeviConfig, t: float, x, s: float, y) -> np.ndarray:
-    """Partial sums Phi_1, ..., Phi_depth at a single space-time pair."""
-    if cfg.depth == 0:
-        return np.zeros(0)
-    if cf.levi_trivial:
-        return np.zeros(cfg.depth)
+def _phi_partials(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int) -> list:
+    """Phi_1, ..., Phi_depth at one space-time pair, derivatives in x on the
+    left Z factor of the convolution."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lat = _build_lattice(cf, S, cfg, t, x, s, y=y)
     n = lat.omega.size
     target = levi_first_kernel_stack(
-        cf,
-        S,
-        lat.flat_t,
-        lat.flat_x,
-        np.full(n, s),
-        np.tile(y, (n, 1)),
+        cf, S, lat.flat_t, lat.flat_x, np.full(n, s), np.tile(y, (n, 1)),
         cov_nodes=cfg.cov_nodes,
     )
     _check_finite(target, lat, "first kernel")
-    pair = _pair_tensor(cf, S, cfg, lat) if cfg.depth > 1 else None
-    if pair is not None:
+    pair = None
+    if cfg.depth > 1:
+        pair = _pair_tensor(cf, S, cfg, lat)
         _check_finite(pair, lat, "kernel pair tensor")
-    Fs = _series_partial(lat, pair, target, cfg.depth) if cfg.depth > 1 else [target]
     zx = parametrix_stack(
-        cf,
-        S,
-        np.full(n, t),
-        np.tile(x, (n, 1)),
-        lat.flat_t,
-        lat.flat_x,
-        cov_nodes=cfg.cov_nodes,
+        cf, S, np.full(n, t), np.tile(x, (n, 1)), lat.flat_t, lat.flat_x,
+        order=order, cov_nodes=cfg.cov_nodes,
     )
-    w = lat.omega * zx["value"]
-    return np.array([float(w @ F) for F in Fs])
+    return [
+        _contract(zx, lat.omega * F, order)
+        for F in _neumann_sums(pair, lat.omega, target, cfg.depth)
+    ]
+
+
+def phi_partial_sums(cf, S, cfg: LeviConfig, t: float, x, s: float, y) -> np.ndarray:
+    """Partial sums Phi_1, ..., Phi_depth at a single space-time pair."""
+    if cfg.depth == 0 or cf.levi_trivial:
+        return np.zeros(cfg.depth)
+    return np.array([ev.value for ev in _phi_partials(cf, S, cfg, t, x, s, y, 0)])
 
 
 def phi_eval(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int = 0) -> KernelEvaluation:
@@ -368,42 +290,13 @@ def phi_eval(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int = 0) -
     Derivatives are taken by differentiating the left Z factor inside the
     convolution.
     """
-    d = S.d
-    zero = KernelEvaluation(
-        value=0.0,
-        grad_d=np.zeros(d) if order >= 1 else None,
-        hess_d=np.zeros((d, d)) if order >= 2 else None,
-    )
     if cfg.depth == 0 or cf.levi_trivial:
-        return zero
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lat = _build_lattice(cf, S, cfg, t, x, s, y=y)
-    n = lat.omega.size
-
-    def target_fn(ft, fx):
-        return levi_first_kernel_stack(
-            cf, S, ft, fx, np.full(n, s), np.tile(y, (n, 1)), cov_nodes=cfg.cov_nodes
-        )
-
-    ev, _, _ = levi_apply(cf, S, cfg, t, x, s, target_fn, order=order, lattice=lat)
-    return ev
+        return _zero_eval(S.d, order)
+    return _phi_partials(cf, S, cfg, t, x, s, y, order)[-1]
 
 
 def fundamental_solution(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int = 0) -> KernelEvaluation:
     """p = Z + Phi_K with matching derivative orders."""
-    base = parametrix_stack(cf, S, [t], [x], [s], [y], order=order)
-    ev = KernelEvaluation(
-        value=float(base["value"][0]),
-        grad_d=base["grad_d"][0].copy() if order >= 1 else None,
-        hess_d=base["hess_d"][0].copy() if order >= 2 else None,
-    )
-    if cfg.depth == 0 or cf.levi_trivial:
-        return ev
+    base = parametrix(cf, S, t, x, s, y, order=order)
     corr = phi_eval(cf, S, cfg, t, x, s, y, order=order)
-    ev.value += corr.value
-    if order >= 1:
-        ev.grad_d = ev.grad_d + corr.grad_d
-    if order >= 2:
-        ev.hess_d = ev.hess_d + corr.hess_d
-    return ev
+    return _combine([(1.0, base), (1.0, corr)], S.d, order)

@@ -1,12 +1,13 @@
-"""Quadrature helpers: Legendre panels, graded time maps, Hermite lattices.
+"""Quadrature helpers: Gauss rules, graded time maps, Hermite lattices.
 
-Conventions.  Time integrals use composite Gauss-Legendre with panels
-aligned to coefficient breakpoints; integrals with endpoint singularities
-run through a two-sided power grading (split at the midpoint, substitute a
-power map toward each endpoint).  Space integrals are importance-weighted
-Gauss-Hermite lattices: nodes of a Gaussian proposal N(m, Sigma) carry
-weights W_a so that  integral phi(z) dz  ~=  sum_a W_a phi(z_a)  for any
-integrand that lives where the proposal does.
+Conventions.  Smooth time integrals use Gauss-Legendre rules, which their
+callers split into panels at the coefficient breakpoints; integrals with
+endpoint singularities run through a two-sided power grading (split at
+the midpoint, substitute a power map toward each endpoint).  Space
+integrals are importance-weighted Gauss-Hermite lattices: nodes of a
+Gaussian proposal N(m, Sigma) carry weights W_a so that
+integral phi(z) dz  ~=  sum_a W_a phi(z_a)  for any integrand that lives
+where the proposal does.
 """
 
 from __future__ import annotations
@@ -28,34 +29,6 @@ def _leggauss(n: int):
 @lru_cache(maxsize=64)
 def _hermgauss(n: int):
     return np.polynomial.hermite.hermgauss(int(n))
-
-
-def legendre_panel(a: float, b: float, n: int):
-    """Gauss-Legendre nodes/weights on [a, b]."""
-    xi, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * xi, half * w
-
-
-def composite_legendre(a: float, b: float, n: int, breaks=()):
-    """Composite Gauss-Legendre on [a, b] split at interior breakpoints.
-
-    The total node budget n is spread over the panels proportionally to
-    panel length, at least 4 nodes per panel.
-    """
-    if not b > a:
-        raise EmptyInterval(f"need b > a, got [{a}, {b}]")
-    edges = [a] + [float(c) for c in breaks if a < c < b] + [b]
-    if len(edges) == 2:
-        return legendre_panel(a, b, n)
-    total = b - a
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(4, int(round(n * (hi - lo) / total)))
-        x, w = legendre_panel(lo, hi, m)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def graded_nodes(a: float, b: float, n: int, p: float, min_gap: float = 0.0):

@@ -23,7 +23,6 @@ from .errors import InvalidData, IoError, KolkinError
 from .holder import SamplerSpec, taylor_remainder_check
 from .kernels import (
     frozen_covariance,
-    parametrix,
     parametrix_stack,
     reference_covariance,
     reference_gaussian_log_stack,
@@ -198,21 +197,24 @@ class SuiteConfig:
         if self.datum is not None:
             params = dict(self.datum)
             g = make_datum(params.pop("family"), **params)
-        f = None
-        if self.source is not None:
-            params = dict(self.source)
-            fam = params.pop("family")
-            if fam == "weighted-time":
-                params.setdefault("T", self.T)
-            f = make_source(fam, **params)
         return CauchyProblem(
             cf=self.coefficient_field(),
             S=self.structure(),
             T=self.T,
             g=g,
-            f=f,
+            f=self.source_term(),
             alpha=self.alpha,
         )
+
+    def source_term(self):
+        """The configured source, or None; weighted-time defaults to T."""
+        if self.source is None:
+            return None
+        params = dict(self.source)
+        fam = params.pop("family")
+        if fam == "weighted-time":
+            params.setdefault("T", self.T)
+        return make_source(fam, **params)
 
     def probes(self) -> np.ndarray:
         from scipy.stats import qmc
@@ -427,8 +429,13 @@ def kernel_mass(cf, S, t: float, x, s: float, nodes: int = 24) -> float:
 
 
 def chapman_kolmogorov_error(cf, S, t: float, x, s: float, tau: float, y, nodes: int = 12) -> float:
-    """Relative error of the two-step composition against the direct kernel."""
+    """Relative error of the two-step composition against the direct kernel.
+
+    Both sides are compared in log space, so kernels that underflow in
+    double precision still give a finite error.
+    """
     from scipy.linalg import cholesky, expm
+    from scipy.special import logsumexp
 
     m1 = expm((s - t) * S.B) @ np.asarray(x, dtype=float)
     C1 = frozen_covariance(cf, S, s, np.asarray(y, dtype=float), t, s).C
@@ -438,11 +445,11 @@ def chapman_kolmogorov_error(cf, S, t: float, x, s: float, tau: float, y, nodes:
     m, C = gaussian_product(m1, C1, m2, C2)
     pts, w = proposal_nodes(m, cholesky(C, lower=True), nodes)
     n = len(pts)
-    z1 = parametrix_stack(cf, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), pts)["value"]
-    z2 = parametrix_stack(cf, S, np.full(n, s), pts, np.full(n, tau), np.tile(y, (n, 1)))["value"]
-    composed = float(np.sum(w * z1 * z2))
-    direct = parametrix(cf, S, t, x, tau, y).value
-    return abs(composed - direct) / abs(direct)
+    z1 = parametrix_stack(cf, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), pts)
+    z2 = parametrix_stack(cf, S, np.full(n, s), pts, np.full(n, tau), np.tile(y, (n, 1)))
+    log_composed = logsumexp(np.log(w) + z1["log_abs"] + z2["log_abs"])
+    log_direct = parametrix_stack(cf, S, [t], [x], [tau], [y])["log_abs"][0]
+    return abs(float(np.expm1(log_composed - log_direct)))
 
 
 def gaussian_bound_constants(cf, S, gaps, x, spec: SamplerSpec) -> np.ndarray:
@@ -603,14 +610,7 @@ def kernel_stage(cfg: SuiteConfig, report: VerificationReport):
 def potential_stage(cfg: SuiteConfig, report: VerificationReport):
     cf = cfg.coefficient_field()
     S = cfg.structure()
-    if cfg.source is not None:
-        params = dict(cfg.source)
-        fam = params.pop("family")
-        if fam == "weighted-time":
-            params.setdefault("T", cfg.T)
-        f = make_source(fam, **params)
-    else:
-        f = make_source("constant", value=1.0)
+    f = cfg.source_term() or make_source("constant", value=1.0)
     pb = CauchyProblem(cf=cf, S=S, T=cfg.T, g=None, f=f, alpha=cfg.alpha)
     probes = cfg.probes()
     pairs = []

@@ -8,6 +8,7 @@ from kolkin import (
     InvalidData,
     LeviConfig,
     fundamental_solution,
+    make_coefficients,
     matrix_exp,
     parametrix,
     phi_eval,
@@ -19,6 +20,7 @@ from kolkin.kernels import (
     levi_first_kernel_stack,
     parametrix_stack,
 )
+from kolkin.levi import _build_lattice, _pair_tensor, terminal_smoothing
 from kolkin.quadrature import gaussian_product, proposal_nodes
 
 T0, S0 = 0.3, 0.8
@@ -133,3 +135,59 @@ def test_depth_zero_gives_zero_correction(S2, cf_sin):
 def test_config_validation(S2, cf_sin):
     with pytest.raises(InvalidData):
         phi_eval(cf_sin, S2, LeviConfig(time_nodes=0), T0, X0, S0, Y0)
+
+
+# The first kernel has one formula; the pair tensor and the terminal
+# smoothing must reproduce the public per-pair kernel.  The constant field
+# with a1/a0 sends the lower-order terms through the correction series.
+FIRST_KERNEL_FIELDS = {
+    "sin": lambda: make_coefficients("space-sinusoidal", d=1, base=1.0, amplitude=0.3),
+    "const-a1-a0": lambda: make_coefficients("constant", a1=[0.3], a0=0.2),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIRST_KERNEL_FIELDS))
+def test_pair_tensor_entries_equal_the_first_kernel(S2, field):
+    cf = FIRST_KERNEL_FIELDS[field]()
+    cfg = LeviConfig(time_nodes=4, space_nodes=3)
+    lat = _build_lattice(cf, S2, cfg, T0, X0, S0)
+    pair = _pair_tensor(cf, S2, cfg, lat)
+    later = lat.flat_t[:, None] < lat.flat_t[None, :]
+    assert np.all(pair[~later] == 0.0)
+    a, b = np.nonzero(later)
+    ref = levi_first_kernel_stack(
+        cf, S2, lat.flat_t[a], lat.flat_x[a], lat.flat_t[b], lat.flat_x[b],
+        cov_nodes=cfg.cov_nodes,
+    )
+    # far pairs underflow to 0 in both; most pairs carry a value
+    assert np.count_nonzero(ref) > a.size // 2
+    np.testing.assert_allclose(pair[a, b], ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("field", sorted(FIRST_KERNEL_FIELDS))
+def test_terminal_smoothing_is_the_first_kernel_cloud_sum(S2, field):
+    # The horizon sits 0.2 past the lattice: at gaps ~2e-5 the position
+    # variance is ~4e-15, and the public kernel's y - e^(gap B) x loses
+    # ~5e-9 relative against the exact cloud offsets the smoothing uses.
+    cf = FIRST_KERNEL_FIELDS[field]()
+    cfg = LeviConfig(time_nodes=4, space_nodes=3)
+    lat = _build_lattice(cf, S2, cfg, T0, X0, S0)
+    horizon, eta = 1.0, 3
+
+    def g(y):
+        return np.cos(y[:, 0]) + 0.5 * y[:, 1]
+
+    got = terminal_smoothing(cf, S2, cfg.cov_nodes, eta, lat, horizon, g)
+    ref = []
+    for r, z in zip(lat.flat_t, lat.flat_x):
+        C = cf.mu * reference_covariance(S2, [horizon - r])[0]
+        pts, w = proposal_nodes(
+            matrix_exp(S2.B, horizon - r) @ z, np.linalg.cholesky(0.5 * (C + C.T)), eta
+        )
+        n = len(pts)
+        h = levi_first_kernel_stack(
+            cf, S2, np.full(n, r), np.tile(z, (n, 1)), np.full(n, horizon), pts,
+            cov_nodes=cfg.cov_nodes,
+        )
+        ref.append(np.sum(w * h * g(pts)))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)

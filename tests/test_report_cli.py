@@ -148,6 +148,15 @@ def test_rank_violation_gates_all_later_stages(tmp_path):
     assert "HormanderViolation" in rec.note
 
 
+def test_chapman_kolmogorov_survives_an_underflowing_direct_kernel():
+    # suite seed 12 draws a composition triple whose direct kernel underflows
+    # to 0 in double precision; the check must still produce a report
+    cfg = named_suite("langevin-piecewise", seed=12, stages=("structure", "kernel"))
+    report = run_verification_suite(cfg)
+    ck = [rec for rec in report.checks if rec.name == "kernel.chapman-kolmogorov"]
+    assert len(ck) == 1 and ck[0].passed
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
