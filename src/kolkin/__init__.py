@@ -15,7 +15,6 @@ from .cauchy import (
     SolverConfig,
     boundary_regY_check,
     potential_source,
-    potential_terminal,
     residual_check,
     samples_to_csv,
     solve_cauchy,

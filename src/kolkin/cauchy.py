@@ -43,8 +43,6 @@ from .problems import CauchyProblem
 from .quadrature import proposal_nodes
 from .structure import matrix_exp
 
-KERNEL_CHOICES = ("Z", "Phi", "p")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -156,17 +154,6 @@ class _PointAssembly:
             G = _neumann_sums(pair, lat.omega, s1, depth)[-1]
             self.V_Pf = _contract(zx, lat.omega * G, order)
 
-    def terminal(self) -> KernelEvaluation:
-        return _combine([(1.0, self.V_Zg), (1.0, self.V_Pg)], self.d, self.order)
-
-    def source(self, kernel: str) -> KernelEvaluation:
-        parts = {
-            "Z": [(1.0, self.V_Zf)],
-            "Phi": [(1.0, self.V_Pf)],
-            "p": [(1.0, self.V_Zf), (1.0, self.V_Pf)],
-        }[kernel]
-        return _combine(parts, self.d, self.order)
-
     def solution(self) -> KernelEvaluation:
         return _combine(
             [(1.0, self.V_Zg), (1.0, self.V_Pg), (-1.0, self.V_Zf), (-1.0, self.V_Pf)],
@@ -175,18 +162,12 @@ class _PointAssembly:
         )
 
 
-def potential_terminal(pb: CauchyProblem, cfg: SolverConfig, t: float, x, order: int = 0) -> KernelEvaluation:
-    """V_g(t,x) = int p(t,x;T,y) g(y) dy with derivatives on the kernel."""
-    return _PointAssembly(pb, cfg, t, x, order).terminal()
-
-
 def potential_source(
-    pb: CauchyProblem, cfg: SolverConfig, t: float, x, kernel: str = "p", order: int = 0
+    pb: CauchyProblem, cfg: SolverConfig, t: float, x, order: int = 0
 ) -> KernelEvaluation:
-    """V_{kernel,f}(t,x) = int_t^T int kernel(t,x;tau,y) f(tau,y) dy dtau."""
-    if kernel not in KERNEL_CHOICES:
-        raise InvalidData(f"kernel must be one of {KERNEL_CHOICES}, got '{kernel}'")
-    return _PointAssembly(pb, cfg, t, x, order).source(kernel)
+    """V_{p,f}(t,x) = int_t^T int p(t,x;tau,y) f(tau,y) dy dtau, p = Z + Phi."""
+    asm = _PointAssembly(pb, cfg, t, x, order)
+    return _combine([(1.0, asm.V_Zf), (1.0, asm.V_Pf)], asm.d, asm.order)
 
 
 def solve_point(pb: CauchyProblem, cfg: SolverConfig, t: float, x) -> SolutionSample:
@@ -227,19 +208,17 @@ def solve_cauchy(pb: CauchyProblem, cfg: SolverConfig, points: Iterable) -> list
     return [solve_point(pb, cfg, t, x) for t, x in points]
 
 
-def residual_check(
-    pb: CauchyProblem, cfg: SolverConfig, points: Iterable, dt_probe: Optional[float] = None
-) -> np.ndarray:
+def residual_check(pb: CauchyProblem, cfg: SolverConfig, points: Iterable) -> np.ndarray:
     """Flow-differenced equation residual at each point.
 
     r = [u(t+dt, e^(dt B) x) - u(t, x)] / dt + (A u)(t, x) - f(t, x);
-    small residuals certify the strong Lie form of the equation.  dt
-    defaults to (T - t)/1000 clamped to [1e-6, 1e-3].
+    small residuals certify the strong Lie form of the equation, with dt =
+    (T - t)/1000 clamped to [1e-6, 1e-3].
     """
     res = []
     for t, x in points:
         x = np.asarray(x, dtype=float)
-        dt = dt_probe if dt_probe is not None else np.clip((pb.T - t) / 1000.0, 1e-6, 1e-3)
+        dt = np.clip((pb.T - t) / 1000.0, 1e-6, 1e-3)
         if not t + dt < pb.T:
             raise EmptyInterval(f"probe time {t + dt} reaches the horizon {pb.T}")
         sample = solve_point(pb, cfg, t, x)

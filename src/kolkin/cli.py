@@ -11,31 +11,26 @@ executed checks pass.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .cauchy import residual_check, samples_to_csv, solve_cauchy
+from .cauchy import residual_check, samples_to_csv, solve_point
 from .errors import KolkinError
 from .holder import anisotropic_norm_est
-from .report import emit_report
-from .sde import feynman_kac_estimate, simulate_paths, terminal_to_csv
+from .sde import estimate_from_paths, simulate_paths, terminal_to_csv
 from .suites import (
     SUITE_NAMES,
     SuiteConfig,
     load_suite_config,
+    map_probes,
     named_suite,
     run_verification_suite,
 )
-
-STAGE_BY_COMMAND = {
-    "structure": ("structure",),
-    "kernel": ("structure", "kernel"),
-    "holder": ("structure", "taylor"),
-    "verify": None,  # keep the suite's own stage list
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -77,8 +72,6 @@ def _load_config(args) -> SuiteConfig:
     else:
         cfg = named_suite(args.suite)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg.seed = args.seed
         cfg.sde = replace(cfg.sde, seed=args.seed)
     if args.out is not None:
@@ -96,9 +89,8 @@ def _print_report(report) -> None:
     print(f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}")
 
 
-def _staged_command(args) -> int:
-    cfg = _load_config(args)
-    stages = STAGE_BY_COMMAND[args.command]
+def _staged_command(args, cfg: SuiteConfig, stages=None) -> int:
+    """Run the given stages, or the suite's own stage list when None."""
     if stages is not None:
         cfg.stages = stages
     report = run_verification_suite(cfg, threads=args.threads)
@@ -106,37 +98,32 @@ def _staged_command(args) -> int:
     return 0 if report.overall_pass else 1
 
 
-def _solve_command(args) -> int:
-    cfg = _load_config(args)
+def _out_dir(cfg: SuiteConfig) -> Path:
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _solve_command(args, cfg: SuiteConfig) -> int:
     pb = cfg.problem()
     t = args.t if args.t is not None else cfg.t_solve
-    points = cfg.probes()
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        from .cauchy import solve_point
-
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            samples = list(ex.map(lambda x: solve_point(pb, cfg.solver, t, x), points))
-    else:
-        samples = solve_cauchy(pb, cfg.solver, [(t, x) for x in points])
+    samples = map_probes(lambda x: solve_point(pb, cfg.solver, t, x), cfg.probes(), args.threads)
     residuals = residual_check(pb, cfg.solver, [(s.t, s.x) for s in samples])
     for s, r in zip(samples, residuals):
         coords = " ".join(f"{v:+.4f}" for v in s.x)
         print(f"t={s.t:.4f} x=({coords}) u={s.u:+.8f} residual={r:+.3e}")
     if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        samples_to_csv(samples, out / "samples.csv", residuals=residuals)
-        print(f"wrote {out / 'samples.csv'}")
+        path = _out_dir(cfg) / "samples.csv"
+        samples_to_csv(samples, path, residuals=residuals)
+        print(f"wrote {path}")
     return 0
 
 
-def _sde_command(args) -> int:
-    cfg = _load_config(args)
+def _sde_command(args, cfg: SuiteConfig) -> int:
     pb = cfg.problem()
     x0 = np.asarray(args.x, dtype=float) if args.x else cfg.probes()[0]
-    est = feynman_kac_estimate(pb, cfg.sde, cfg.t_solve, x0)
+    bundle = simulate_paths(pb.cf, pb.S, cfg.sde, cfg.t_solve, x0, pb.T, f=pb.f)
+    est = estimate_from_paths(pb, cfg.sde, bundle)
     lo, hi = est.interval()
     coords = " ".join(f"{v:+.4f}" for v in x0)
     print(
@@ -144,53 +131,46 @@ def _sde_command(args) -> int:
         f"+- {est.std_error:.2e} (3-sigma [{lo:+.8f}, {hi:+.8f}], {est.n_paths} paths)"
     )
     if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        bundle = simulate_paths(pb.cf, pb.S, cfg.sde, cfg.t_solve, x0, pb.T, f=pb.f)
-        terminal_to_csv(bundle, out / "terminal.csv")
-        print(f"wrote {out / 'terminal.csv'}")
+        path = _out_dir(cfg) / "terminal.csv"
+        terminal_to_csv(bundle, path)
+        print(f"wrote {path}")
     return 0
 
 
-def _holder_command(args) -> int:
-    cfg = _load_config(args)
-    code = _staged_command(args)
+def _holder_command(args, cfg: SuiteConfig) -> int:
+    code = _staged_command(args, cfg, ("structure", "taylor"))
     if cfg.datum is not None:
         pb = cfg.problem()
-        spec = cfg.sampler_spec()
         alpha = min(pb.g.beta, 1.0) if pb.g.beta > 0 else cfg.alpha
-        est = anisotropic_norm_est(pb.g, alpha, cfg.structure(), spec)
+        est = anisotropic_norm_est(pb.g, alpha, cfg.structure(), cfg.sampler_spec())
         print(
             f"datum anisotropic norm estimate (order {alpha:g}): "
             f"{est.value:.6g} over {est.n_pairs} pairs"
         )
         if cfg.out_dir is not None:
-            import json
-
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "holder.json").write_text(
-                json.dumps(est.to_json(), sort_keys=True, indent=2) + "\n"
-            )
-            print(f"wrote {out / 'holder.json'}")
+            path = _out_dir(cfg) / "holder.json"
+            path.write_text(json.dumps(est.to_json(), sort_keys=True, indent=2) + "\n")
+            print(f"wrote {path}")
     return code
+
+
+COMMANDS = {
+    "structure": partial(_staged_command, stages=("structure",)),
+    "kernel": partial(_staged_command, stages=("structure", "kernel")),
+    "verify": _staged_command,
+    "holder": _holder_command,
+    "solve": _solve_command,
+    "sde": _sde_command,
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("structure", "kernel", "verify"):
-            return _staged_command(args)
-        if args.command == "solve":
-            return _solve_command(args)
-        if args.command == "sde":
-            return _sde_command(args)
-        if args.command == "holder":
-            return _holder_command(args)
+        return COMMANDS[args.command](args, _load_config(args))
     except KolkinError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

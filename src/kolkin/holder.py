@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import InvalidData, MissingDerivative
-from .structure import DriftStructure, anisotropic_norm, dilation, matrix_exp
+from .structure import DriftStructure, anisotropic_norm, dilation, expm_stack, matrix_exp
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,18 @@ def _eval(g: Callable, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _sup_with_argmax(quot: np.ndarray, pairs_a, pairs_b):
-    if quot.size == 0:
-        return 0.0, (None, None)
+def _increment_sup(g, alpha: float, S: DriftStructure, px, py):
+    """sup of |g(x) - g(y)| / |x - y|_B^alpha over the sampled pairs.
+
+    Returns (sup, argmax pair, number of pairs at positive distance).
+    """
+    dist = anisotropic_norm(px - py, S)
+    ok = dist > 0
+    if not ok.any():
+        return 0.0, (None, None), 0
+    quot = np.abs(_eval(g, px) - _eval(g, py))[ok] / dist[ok] ** alpha
     k = int(np.argmax(quot))
-    return float(quot[k]), (pairs_a[k], pairs_b[k])
+    return float(quot[k]), (px[ok][k], py[ok][k]), int(ok.sum())
 
 
 def _increment_pairs(spec: SamplerSpec, S: DriftStructure, degenerate_only: bool):
@@ -179,14 +186,10 @@ def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) 
     if alpha <= 1.0:
         bases, px, py = _increment_pairs(spec, S, degenerate_only=False)
         sup = float(np.max(np.abs(_eval(g, bases))))
-        gx, gy = _eval(g, px), _eval(g, py)
-        dist = anisotropic_norm(px - py, S)
-        ok = dist > 0
-        quot = np.abs(gx - gy)[ok] / dist[ok] ** alpha
-        semi, arg = _sup_with_argmax(quot, px[ok], py[ok])
+        semi, arg, n_pairs = _increment_sup(g, alpha, S, px, py)
         return NormEstimate(
             value=sup + semi,
-            n_pairs=int(ok.sum()),
+            n_pairs=n_pairs,
             argmax_pair=arg,
             components={"sup": sup, "increment": semi},
         )
@@ -206,18 +209,10 @@ def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) 
     grad_part = max(e.value for e in sub)
     bases, px, py = _increment_pairs(spec, S, degenerate_only=True)
     sup = float(np.max(np.abs(_eval(g, bases))))
-    n_pairs = sum(e.n_pairs for e in sub)
-    semi, arg = 0.0, (None, None)
-    if len(px):
-        gx, gy = _eval(g, px), _eval(g, py)
-        dist = anisotropic_norm(px - py, S)
-        ok = dist > 0
-        quot = np.abs(gx - gy)[ok] / dist[ok] ** alpha
-        semi, arg = _sup_with_argmax(quot, px[ok], py[ok])
-        n_pairs += int(ok.sum())
+    semi, arg, n_pairs = _increment_sup(g, alpha, S, px, py)
     return NormEstimate(
         value=sup + grad_part + semi,
-        n_pairs=n_pairs,
+        n_pairs=n_pairs + sum(e.n_pairs for e in sub),
         argmax_pair=arg,
         components={"sup": sup, "gradient": grad_part, "increment": semi},
     )
@@ -387,21 +382,28 @@ def weighted_sup_norm(
     return est.value
 
 
-def taylor_t2(F, s: float, y, z) -> float:
-    """Second-order intrinsic Taylor polynomial at (s, y) evaluated on offset z.
+def _taylor_t2_stack(F, s, y, z) -> np.ndarray:
+    """Second-order intrinsic Taylor polynomials at the points (s_k, y_k),
+    each evaluated on its offset z_k.
 
     T2 = F + sum_{i<=d} z_i dF_i + 1/2 sum_{i,j<=d} z_i z_j ddF_ij, with the
     derivative range set by the width of F's gradient.
     """
+    grad = np.asarray(F.grad_d(s, y))
+    hess = np.asarray(F.hess_d(s, y))
+    zd = z[:, : grad.shape[1]]
+    return (
+        _eval_st(F, s, y)
+        + np.einsum("ki,ki->k", grad, zd)
+        + 0.5 * np.einsum("ki,kij,kj->k", zd, hess, zd)
+    )
+
+
+def taylor_t2(F, s: float, y, z) -> float:
+    """Second-order intrinsic Taylor polynomial at (s, y) evaluated on offset z."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    z = np.asarray(z, dtype=float)
-    sv = np.full(1, s)
-    val = float(_eval_st(F, sv, y)[0])
-    grad = np.asarray(F.grad_d(sv, y))[0]
-    d = grad.shape[0]
-    hess = np.asarray(F.hess_d(sv, y))[0]
-    zd = z[:d]
-    return val + float(grad @ zd) + 0.5 * float(zd @ hess @ zd)
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return float(_taylor_t2_stack(F, np.full(1, s), y, z)[0])
 
 
 @dataclass
@@ -413,18 +415,14 @@ class TaylorCheck:
     exponent: float
     bounded_factor: float  # max over ladder / median
 
-    @property
-    def worst_ratio(self) -> float:
-        return float(self.ratios[-1])
-
 
 def taylor_remainder_check(F, alpha: float, S: DriftStructure, spec: SamplerSpec) -> TaylorCheck:
     """Ladder of remainder quotients |F - T2| / (|tau - s| + |offset|^(2+alpha)).
 
-    Per level the sup is cumulative over all finer-or-equal scales, so the
-    ladder is monotone by construction; a bounded ladder certifies the
-    Taylor formula at the sampled points, a diverging one flags a function
-    outside the class.
+    Per level the sup is cumulative over all coarser-or-equal scales (the
+    running max from h0 downward), so the ladder is monotone by
+    construction; a bounded ladder certifies the Taylor formula at the
+    sampled points, a diverging one flags a function outside the class.
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidData(f"Taylor check order must be in (0, 1], got {alpha}")
@@ -433,27 +431,30 @@ def taylor_remainder_check(F, alpha: float, S: DriftStructure, spec: SamplerSpec
     m = min(len(bases_x), len(bases_t))
     lo, hi = spec.t_box
     dirs = _directions(spec, S, degenerate_only=False)
+    # each base point once per sign of the time step, then once per direction
+    s = np.tile(bases_t[:m], 2)
+    y = np.tile(bases_x[:m], (2, 1))
+    sgn_t = np.repeat([1.0, -1.0], m)
+    n = len(dirs)
+    s_all, y_all = np.tile(s, n), np.tile(y, (n, 1))
     scales = spec.scales()
     level_sup = np.zeros(len(scales))
     for k, hk in enumerate(scales):
-        sup = 0.0
-        for v in dirs:
-            delta = dilation(S, hk, v)
-            for sgn_t in (1.0, -1.0):
-                tau = np.clip(bases_t[:m] + sgn_t * hk * hk, lo, hi)
-                for bi in range(m):
-                    s, y = bases_t[bi], bases_x[bi]
-                    tb = float(tau[bi])
-                    flow = matrix_exp(S.B, tb - s)
-                    x = flow @ y + delta
-                    z = x - flow @ y
-                    denom = abs(tb - s) + anisotropic_norm(z, S) ** (2.0 + alpha)
-                    if denom == 0:
-                        continue
-                    fval = float(_eval_st(F, np.array([tb]), np.atleast_2d(x))[0])
-                    rem = abs(fval - taylor_t2(F, s, y, z))
-                    sup = max(sup, rem / denom)
-        level_sup[k] = sup
+        tau = np.clip(s + sgn_t * hk * hk, lo, hi)
+        flow_y = (expm_stack(S.B, tau - s) @ y[:, :, None])[:, :, 0]
+        x = flow_y + dilation(S, hk, dirs)[:, None, :]  # (direction, sign x base, N)
+        z = (x - flow_y).reshape(-1, S.N)
+        tau_all = np.tile(tau, n)
+        # scalar pow, element by element: numpy's SIMD array power can differ
+        # from it in the last bit, and the quotients should not depend on
+        # how the sample points are batched
+        offset = [r ** (2.0 + alpha) for r in anisotropic_norm(z, S).tolist()]
+        denom = np.abs(tau_all - s_all) + np.asarray(offset)
+        rem = np.abs(
+            _eval_st(F, tau_all, x.reshape(-1, S.N)) - _taylor_t2_stack(F, s_all, y_all, z)
+        )
+        ok = denom != 0
+        level_sup[k] = np.max(rem[ok] / denom[ok], initial=0.0)
     ratios = np.maximum.accumulate(level_sup)
     pos = ratios > 0
     if pos.sum() >= 2:

@@ -46,10 +46,6 @@ class CovarianceMatrix:
     chol: np.ndarray
     logdet: float
 
-    @property
-    def dim(self) -> int:
-        return self.C.shape[0]
-
 
 @dataclass
 class KernelEvaluation:

@@ -212,7 +212,11 @@ def feynman_kac_estimate(pb, cfg: SdeConfig, t0: float, x0) -> McEstimate:
     are averaged before the variance estimate, so std_error reflects the
     paired samples.
     """
-    bundle = simulate_paths(pb.cf, pb.S, cfg, t0, x0, pb.T, f=pb.f)
+    return estimate_from_paths(pb, cfg, simulate_paths(pb.cf, pb.S, cfg, t0, x0, pb.T, f=pb.f))
+
+
+def estimate_from_paths(pb, cfg: SdeConfig, bundle: PathBundle) -> McEstimate:
+    """The Feynman-Kac estimate from paths simulate_paths drew with cfg."""
     vals = -bundle.source_integral
     if pb.g is not None:
         vals = vals + np.exp(bundle.log_weight) * np.asarray(

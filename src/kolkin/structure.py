@@ -111,22 +111,6 @@ class DriftStructure:
         """Homogeneous dimension: sum over blocks of (2j+1) d_j."""
         return int(sum((2 * j + 1) * b for j, b in enumerate(self.blocks)))
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "d": self.d,
-            "B": [float(v) for v in self.B.reshape(-1)],
-            "blocks": list(self.blocks),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DriftStructure":
-        N = int(obj["N"])
-        B = np.asarray(obj["B"], dtype=float)
-        if B.size != N * N:
-            raise StructuralError("B entry count does not match N*N")
-        return block_structure(B.reshape(N, N), int(obj["d"]))
-
 
 def block_structure(B, d: int) -> DriftStructure:
     """Extract and validate the canonical block decomposition of B.

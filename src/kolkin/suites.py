@@ -9,9 +9,10 @@ for a fixed configuration and seed.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -42,14 +43,37 @@ from .structure import (
 DEFAULT_T_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)
 EXPONENT_TOL = 0.15
 UNRELIABLE_RESIDUAL = 0.3
+STRUCTURE_DRIFTS = 25  # random drifts in the Kalman-vs-Gramian rank cross-check
 STAGES = ("structure", "kernel", "potential", "solver", "blowup", "taylor")
-SUITE_NAMES = (
-    "langevin-constant",
-    "langevin-constant-source",
-    "langevin-sinusoidal",
-    "langevin-piecewise",
-    "langevin-holder-beta1",
+
+# Every preset starts from this problem and lists only what it changes.  The
+# sine datum carries a phase so it is not odd around any probe: an odd datum
+# at x1 = 0 lets antithetic pairing cancel the payoff exactly, collapsing the
+# sampled std error to roundoff and making the solver-vs-oracle deviation
+# test meaningless there.
+_PRESET_BASE = dict(
+    coefficients={"family": "constant", "sigma2": 1.0},
+    datum={"family": "sine", "amplitude": 1.0, "axis": 0, "phase": 0.37},
+    source=None,
+    alpha=0.5,
 )
+_COORDINATE_SOURCE = {"family": "coordinate", "axis": 1}
+_PRESETS = {
+    "langevin-constant": {},
+    "langevin-constant-source": dict(source=_COORDINATE_SOURCE),
+    "langevin-sinusoidal": dict(
+        coefficients={"family": "space-sinusoidal", "base": 1.0, "amplitude": 0.3},
+        alpha=0.3,
+    ),
+    "langevin-piecewise": dict(
+        coefficients={"family": "time-piecewise", "values": [1.0, 2.0], "breaks": [0.5]},
+        source=_COORDINATE_SOURCE,
+    ),
+    "langevin-holder-beta1": dict(
+        datum={"family": "abs", "axis": 0}, stages=("structure", "blowup")
+    ),
+}
+SUITE_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -232,90 +256,93 @@ class SuiteConfig:
         params.setdefault("n_directions", 4)
         return SamplerSpec(**params)
 
-    # -- serialization -------------------------------------------------------
+    # -- serialization: one _SCHEMA row per field ------------------------------
     def to_json(self) -> dict:
-        def dc(obj):
-            return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "structure": {
-                "d": self.d,
-                "drift": None
-                if self.drift is None
-                else [float(v) for v in np.asarray(self.drift).reshape(-1)],
-            },
-            "problem": {
-                "coefficients": self.coefficients,
-                "datum": self.datum,
-                "source": self.source,
-                "alpha": self.alpha,
-                "T": self.T,
-            },
-            "grids": {
-                "t_ladder": list(self.t_ladder),
-                "probe_box": [list(r) for r in self.probe_box],
-                "n_probes": self.n_probes,
-                "t_solve": self.t_solve,
-            },
-            "modules": {
-                "levi": dc(self.levi),
-                "solver": {
-                    k: (v if k != "levi" else dc(v)) for k, v in dc(self.solver).items()
-                },
-                "sde": dc(self.sde),
-                "sampler": self.sampler,
-            },
-            "stages": list(self.stages),
-            "out": self.out_dir,
-        }
+        obj = {}
+        for section, key, name, dump, _ in _SCHEMA:
+            (obj.setdefault(section, {}) if section else obj)[key] = dump(getattr(self, name))
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteConfig":
-        prob = obj.get("problem", {})
-        grids = obj.get("grids", {})
-        mods = obj.get("modules", {})
-        struct = obj.get("structure", {})
+        """Inverse of to_json; absent keys keep their defaults.  An unknown
+        key or a bad value at any level raises InvalidData naming it."""
+        _check_keys(obj, {s or k for s, k, *_ in _SCHEMA}, "top level")
         kw = {}
-        if "suite" in obj:
-            kw["suite"] = obj["suite"]
-        if "seed" in obj:
-            kw["seed"] = int(obj["seed"])
-        if "d" in struct:
-            kw["d"] = int(struct["d"])
-        if struct.get("drift") is not None:
-            kw["drift"] = tuple(float(v) for v in struct["drift"])
-        for k in ("coefficients", "datum", "source"):
-            if k in prob:
-                kw[k] = prob[k]
-        for src, dst in (("alpha", "alpha"), ("T", "T")):
-            if src in prob:
-                kw[dst] = float(prob[src])
-        if "t_ladder" in grids:
-            kw["t_ladder"] = tuple(float(v) for v in grids["t_ladder"])
-        if "probe_box" in grids:
-            kw["probe_box"] = tuple(tuple(float(v) for v in r) for r in grids["probe_box"])
-        if "n_probes" in grids:
-            kw["n_probes"] = int(grids["n_probes"])
-        if "t_solve" in grids:
-            kw["t_solve"] = float(grids["t_solve"])
-        if "levi" in mods:
-            kw["levi"] = LeviConfig(**mods["levi"])
-        if "solver" in mods:
-            sv = dict(mods["solver"])
-            if "levi" in sv and isinstance(sv["levi"], dict):
-                sv["levi"] = LeviConfig(**sv["levi"])
-            kw["solver"] = SolverConfig(**sv)
-        if "sde" in mods:
-            kw["sde"] = SdeConfig(**mods["sde"])
-        if "sampler" in mods:
-            kw["sampler"] = dict(mods["sampler"])
-        if "stages" in obj:
-            kw["stages"] = tuple(obj["stages"])
-        if obj.get("out") is not None:
-            kw["out_dir"] = obj["out"]
+        for section, key, name, _, load in _SCHEMA:
+            src = obj
+            if section:
+                src = obj.get(section, {})
+                _check_keys(src, {k for s, k, *_ in _SCHEMA if s == section}, section)
+            if key in src:
+                try:
+                    kw[name] = load(src[key])
+                except InvalidData:
+                    raise
+                except (TypeError, ValueError) as e:
+                    where = f"'{key}' in config section '{section or 'top level'}'"
+                    raise InvalidData(f"bad value for key {where}: {e}") from e
         return cls(**kw)
+
+
+def _check_keys(obj, allowed, section: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidData(f"config section '{section}' must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InvalidData(f"unknown key '{unknown[0]}' in config section '{section}'; "
+                          f"expected one of {sorted(allowed)}")
+
+
+def _fields_of(cls, section: str, build=None):
+    """Loader of a JSON object whose keys must be fields of cls."""
+
+    def load(obj):
+        _check_keys(obj, [f.name for f in fields(cls)], section)
+        return (build or cls)(**obj)
+
+    return load
+
+
+def _solver(**kw) -> SolverConfig:
+    if isinstance(kw.get("levi"), dict):
+        kw["levi"] = _fields_of(LeviConfig, "modules.solver.levi")(kw["levi"])
+    return SolverConfig(**kw)
+
+
+def _same(v):
+    return v
+
+
+def _floats(v) -> tuple:
+    return tuple(float(x) for x in v)
+
+
+# (section, JSON key, field, dump, load); section None is the top level
+_SCHEMA = (
+    (None, "suite", "suite", _same, _same),
+    (None, "seed", "seed", _same, int),
+    ("structure", "d", "d", _same, int),
+    ("structure", "drift", "drift",
+     lambda B: None if B is None else [float(v) for v in np.asarray(B).reshape(-1)],
+     lambda B: None if B is None else _floats(B)),
+    ("problem", "coefficients", "coefficients", _same, _same),
+    ("problem", "datum", "datum", _same, _same),
+    ("problem", "source", "source", _same, _same),
+    ("problem", "alpha", "alpha", _same, float),
+    ("problem", "T", "T", _same, float),
+    ("grids", "t_ladder", "t_ladder", list, _floats),
+    ("grids", "probe_box", "probe_box",
+     lambda box: [list(r) for r in box], lambda box: tuple(_floats(r) for r in box)),
+    ("grids", "n_probes", "n_probes", _same, int),
+    ("grids", "t_solve", "t_solve", _same, float),
+    ("modules", "levi", "levi", asdict, _fields_of(LeviConfig, "modules.levi")),
+    ("modules", "solver", "solver", asdict, _fields_of(SolverConfig, "modules.solver", _solver)),
+    ("modules", "sde", "sde", asdict, _fields_of(SdeConfig, "modules.sde")),
+    ("modules", "sampler", "sampler", _same, _fields_of(SamplerSpec, "modules.sampler", dict)),
+    (None, "stages", "stages", list, tuple),
+    (None, "out", "out_dir", _same, _same),
+)
 
 
 def load_suite_config(path) -> SuiteConfig:
@@ -335,46 +362,9 @@ def named_suite(name: str, seed: int = 0, **overrides) -> SuiteConfig:
     """Preset suite configurations by name ("default" aliases the first)."""
     if name == "default":
         name = "langevin-constant"
-    presets = {
-        # The sine data carry a phase so the datum is not odd around any
-        # probe: an odd datum at x1 = 0 lets antithetic pairing cancel the
-        # payoff exactly, collapsing the sampled std error to roundoff and
-        # making the solver-vs-oracle deviation test meaningless there.
-        "langevin-constant": dict(
-            coefficients={"family": "constant", "sigma2": 1.0},
-            datum={"family": "sine", "amplitude": 1.0, "axis": 0, "phase": 0.37},
-            source=None,
-            alpha=0.5,
-        ),
-        "langevin-constant-source": dict(
-            coefficients={"family": "constant", "sigma2": 1.0},
-            datum={"family": "sine", "amplitude": 1.0, "axis": 0, "phase": 0.37},
-            source={"family": "coordinate", "axis": 1},
-            alpha=0.5,
-        ),
-        "langevin-sinusoidal": dict(
-            coefficients={"family": "space-sinusoidal", "base": 1.0, "amplitude": 0.3},
-            datum={"family": "sine", "amplitude": 1.0, "axis": 0, "phase": 0.37},
-            source=None,
-            alpha=0.3,
-        ),
-        "langevin-piecewise": dict(
-            coefficients={"family": "time-piecewise", "values": [1.0, 2.0], "breaks": [0.5]},
-            datum={"family": "sine", "amplitude": 1.0, "axis": 0, "phase": 0.37},
-            source={"family": "coordinate", "axis": 1},
-            alpha=0.5,
-        ),
-        "langevin-holder-beta1": dict(
-            coefficients={"family": "constant", "sigma2": 1.0},
-            datum={"family": "abs", "axis": 0},
-            source=None,
-            alpha=0.5,
-            stages=("structure", "blowup"),
-        ),
-    }
-    if name not in presets:
+    if name not in _PRESETS:
         raise InvalidData(f"unknown suite '{name}'; expected one of {SUITE_NAMES}")
-    kw = presets[name]
+    kw = copy.deepcopy({**_PRESET_BASE, **_PRESETS[name]})
     kw.update(overrides)
     return SuiteConfig(suite=name, seed=seed, **kw)
 
@@ -384,34 +374,28 @@ def named_suite(name: str, seed: int = 0, **overrides) -> SuiteConfig:
 # --------------------------------------------------------------------------
 
 
-def structure_stage(cfg: SuiteConfig, report: VerificationReport, n_drifts: int = 25):
+def _add_check(report: VerificationReport, name: str, passed: bool, **values):
+    """Append a check record; its stage is the prefix of its name."""
+    report.add(CheckRecord(name=name, stage=name.split(".")[0], passed=passed, **values))
+
+
+def structure_stage(cfg: SuiteConfig, report: VerificationReport):
     S = cfg.structure()  # raises on non-canonical / non-controllable drifts
-    report.add(
-        CheckRecord(
-            name="structure.canonical",
-            stage="structure",
-            passed=True,
-            value=float(S.N),
-            note=f"blocks={S.blocks}, Q={S.Q}",
-        )
+    _add_check(
+        report, "structure.canonical", True, value=float(S.N),
+        note=f"blocks={S.blocks}, Q={S.Q}",
     )
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 11], dtype=np.uint64)))
     agree = 0
-    for _ in range(n_drifts):
+    for _ in range(STRUCTURE_DRIFTS):
         B, d0 = random_canonical_drift(rng)
         _, k_rank = kalman_rank(B, d0)
         g_rank = controllability_gramian_rank(B, d0)
         agree += int(k_rank == g_rank)
-    report.add(
-        CheckRecord(
-            name="structure.kalman-gramian-agreement",
-            stage="structure",
-            passed=agree == n_drifts,
-            value=float(agree),
-            target=float(n_drifts),
-            tolerance=0.0,
-            note="algebraic rank vs integrated-Gramian rank on random drifts",
-        )
+    _add_check(
+        report, "structure.kalman-gramian-agreement", agree == STRUCTURE_DRIFTS,
+        value=float(agree), target=float(STRUCTURE_DRIFTS), tolerance=0.0,
+        note="algebraic rank vs integrated-Gramian rank on random drifts",
     )
 
 
@@ -537,16 +521,9 @@ def kernel_stage(cfg: SuiteConfig, report: VerificationReport):
         t = 0.1 + 0.4 * rng.random() * cfg.T
         gap = (0.02 + 0.1 * rng.random()) * cfg.T
         worst = max(worst, abs(kernel_mass(cf, S, t, rand_x(), t + gap) - 1.0))
-    report.add(
-        CheckRecord(
-            name="kernel.mass",
-            stage="kernel",
-            passed=worst <= tol,
-            value=worst,
-            target=0.0,
-            tolerance=tol,
-            note="max |integral - 1| over 10 random (t, x, s)",
-        )
+    _add_check(
+        report, "kernel.mass", worst <= tol, value=worst, target=0.0, tolerance=tol,
+        note="max |integral - 1| over 10 random (t, x, s)",
     )
 
     # two-step composition (exact semigroup property for frozen coefficients)
@@ -559,16 +536,9 @@ def kernel_stage(cfg: SuiteConfig, report: VerificationReport):
             worst_ck = max(
                 worst_ck, chapman_kolmogorov_error(cf, S, t, rand_x(), s, tau, rand_x())
             )
-        report.add(
-            CheckRecord(
-                name="kernel.chapman-kolmogorov",
-                stage="kernel",
-                passed=worst_ck <= 1e-4,
-                value=worst_ck,
-                target=0.0,
-                tolerance=1e-4,
-                note="max relative composition error over 10 probe triples",
-            )
+        _add_check(
+            report, "kernel.chapman-kolmogorov", worst_ck <= 1e-4, value=worst_ck, target=0.0,
+            tolerance=1e-4, note="max relative composition error over 10 probe triples",
         )
 
     # derivative bounds: constants finite and stable across the gap ladder
@@ -576,60 +546,64 @@ def kernel_stage(cfg: SuiteConfig, report: VerificationReport):
     for order, label in enumerate(("value", "gradient", "hessian")):
         c = consts[order]
         ratio = float(np.max(c) / np.min(c)) if np.min(c) > 0 else float("inf")
-        report.add(
-            CheckRecord(
-                name=f"kernel.bound-constant-{label}",
-                stage="kernel",
-                passed=bool(np.all(np.isfinite(c)) and ratio < 2.0),
-                value=ratio,
-                target=1.0,
-                tolerance=1.0,
-                note=f"max/min fitted constant across gaps = {ratio:.3f}",
-            )
+        _add_check(
+            report, f"kernel.bound-constant-{label}",
+            bool(np.all(np.isfinite(c)) and ratio < 2.0), value=ratio, target=1.0,
+            tolerance=1.0, note=f"max/min fitted constant across gaps = {ratio:.3f}",
         )
 
     # correction-kernel smallness (only meaningful with rough coefficients)
     if cf.space_dependent_a2:
-        fit = fit_blowup_exponent(
-            phi_smallness_pairs(cf, S, cfg.levi, cfg.t_ladder, rand_x(), seed=cfg.seed)
-        )
         floor = cf.alpha_bar / 2.0 - 0.1
-        report.add(
-            CheckRecord(
-                name="kernel.correction-exponent",
-                stage="kernel",
-                passed=fit.slope >= floor and not fit.unreliable,
-                value=fit.slope,
-                target=cf.alpha_bar / 2.0,
-                tolerance=0.1,
-                note=f"one-sided: slope >= {floor:.4f}; residual {fit.residual:.3f}",
-            )
+        _exponent_check(
+            report, "kernel.correction-exponent",
+            phi_smallness_pairs(cf, S, cfg.levi, cfg.t_ladder, rand_x(), seed=cfg.seed),
+            target=cf.alpha_bar / 2.0, tolerance=0.1, floor=floor,
+            note=lambda fit: f"one-sided: slope >= {floor:.4f}; residual {fit.residual:.3f}",
         )
+
+
+def _exponent_check(report, name, pairs, target, note, tolerance=EXPONENT_TOL, floor=None):
+    """Fit the (gap, value) ladder and record its slope against the target.
+
+    The check is two-sided within tolerance, or one-sided (slope >= floor)
+    when a floor is given; an unreliable fit fails either way.  note maps
+    the fit to the record's note.
+    """
+    fit = fit_blowup_exponent(pairs)
+    ok = fit.slope >= floor if floor is not None else abs(fit.slope - target) <= tolerance
+    _add_check(
+        report, name, ok and not fit.unreliable, value=fit.slope, target=target,
+        tolerance=tolerance, note=note(fit),
+    )
+
+
+def _ladder_sups(T: float, gaps, probes, value) -> list:
+    """(gap, max over probes x of value(T - gap, x)) for each ladder gap."""
+    return [(gap, max(value(T - gap, x) for x in probes)) for gap in gaps]
+
+
+def map_probes(fn, probes, threads: int = 1) -> list:
+    """fn over the probe points, on `threads` worker threads when above 1."""
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, probes))
+    return [fn(x) for x in probes]
 
 
 def potential_stage(cfg: SuiteConfig, report: VerificationReport):
-    cf = cfg.coefficient_field()
-    S = cfg.structure()
     f = cfg.source_term() or make_source("constant", value=1.0)
-    pb = CauchyProblem(cf=cf, S=S, T=cfg.T, g=None, f=f, alpha=cfg.alpha)
-    probes = cfg.probes()
-    pairs = []
-    for gap in cfg.t_ladder:
-        t = cfg.T - gap
-        sup = max(abs(potential_source(pb, cfg.solver, t, x).value) for x in probes)
-        pairs.append((gap, sup))
-    fit = fit_blowup_exponent(pairs)
-    target = 1.0 - pb.gamma
-    report.add(
-        CheckRecord(
-            name="potential.source-weight-exponent",
-            stage="potential",
-            passed=abs(fit.slope - target) <= EXPONENT_TOL and not fit.unreliable,
-            value=fit.slope,
-            target=target,
-            tolerance=EXPONENT_TOL,
-            note=f"residual {fit.residual:.3f}" + (" UNRELIABLE" if fit.unreliable else ""),
-        )
+    pb = CauchyProblem(
+        cf=cfg.coefficient_field(), S=cfg.structure(), T=cfg.T, g=None, f=f, alpha=cfg.alpha
+    )
+    _exponent_check(
+        report, "potential.source-weight-exponent",
+        _ladder_sups(cfg.T, cfg.t_ladder, cfg.probes(),
+                     lambda t, x: abs(potential_source(pb, cfg.solver, t, x).value)),
+        target=1.0 - pb.gamma,
+        note=lambda fit: f"residual {fit.residual:.3f}" + (" UNRELIABLE" if fit.unreliable else ""),
     )
 
 
@@ -644,37 +618,17 @@ def solver_stage(cfg: SuiteConfig, report: VerificationReport, threads: int = 1)
         se = max(fk.std_error, 1e-12)
         return (u - fk.mean) / se
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            devs = list(ex.map(one, probes))
-    else:
-        devs = [one(x) for x in probes]
-    worst = float(np.max(np.abs(devs)))
-    report.add(
-        CheckRecord(
-            name="solver.oracle-agreement",
-            stage="solver",
-            passed=worst <= 3.0,
-            value=worst,
-            target=0.0,
-            tolerance=3.0,
-            note=f"max |solver - sampled| in standard errors over {len(probes)} probes",
-        )
+    worst = float(np.max(np.abs(map_probes(one, probes, threads))))
+    _add_check(
+        report, "solver.oracle-agreement", worst <= 3.0, value=worst, target=0.0, tolerance=3.0,
+        note=f"max |solver - sampled| in standard errors over {len(probes)} probes",
     )
 
 
 def hessian_blowup_pairs(pb: CauchyProblem, scfg: SolverConfig, gaps, probes) -> list:
-    pairs = []
-    for gap in gaps:
-        t = pb.T - gap
-        sup = 0.0
-        for x in probes:
-            s = solve_point(pb, scfg, t, x)
-            sup = max(sup, float(np.max(np.abs(s.hess_d))))
-        pairs.append((gap, sup))
-    return pairs
+    return _ladder_sups(
+        pb.T, gaps, probes, lambda t, x: float(np.max(np.abs(solve_point(pb, scfg, t, x).hess_d)))
+    )
 
 
 def blowup_probes(box) -> np.ndarray:
@@ -705,20 +659,11 @@ def blowup_stage(cfg: SuiteConfig, report: VerificationReport):
     pb = cfg.problem()
     probes = blowup_probes(cfg.probe_box)
     if pb.g is not None and pb.f is None:
-        fit = fit_blowup_exponent(
-            hessian_blowup_pairs(pb, cfg.solver, cfg.t_ladder, probes)
-        )
-        target = -max(2.0 - pb.beta, 0.0) / 2.0
-        report.add(
-            CheckRecord(
-                name="blowup.hessian-exponent",
-                stage="blowup",
-                passed=abs(fit.slope - target) <= EXPONENT_TOL and not fit.unreliable,
-                value=fit.slope,
-                target=target,
-                tolerance=EXPONENT_TOL,
-                note=f"datum regularity beta={pb.beta}; residual {fit.residual:.3f}",
-            )
+        _exponent_check(
+            report, "blowup.hessian-exponent",
+            hessian_blowup_pairs(pb, cfg.solver, cfg.t_ladder, probes),
+            target=-max(2.0 - pb.beta, 0.0) / 2.0,
+            note=lambda fit: f"datum regularity beta={pb.beta}; residual {fit.residual:.3f}",
         )
     if pb.g is not None:
         bnd = boundary_regY_check(
@@ -726,15 +671,9 @@ def blowup_stage(cfg: SuiteConfig, report: VerificationReport):
         )
         target = min(pb.beta, 2.0) / 2.0
         if bnd.degenerate:
-            report.add(
-                CheckRecord(
-                    name="blowup.boundary-exponent",
-                    stage="blowup",
-                    passed=True,
-                    value=None,
-                    target=target,
-                    note="boundary increments at quadrature noise floor (exact datum)",
-                )
+            _add_check(
+                report, "blowup.boundary-exponent", True, value=None, target=target,
+                note="boundary increments at quadrature noise floor (exact datum)",
             )
         else:
             # With a source, the datum and source parts both vanish at the
@@ -745,36 +684,18 @@ def blowup_stage(cfg: SuiteConfig, report: VerificationReport):
                 ok = abs(bnd.slope - target) <= EXPONENT_TOL
             else:
                 ok = bnd.slope >= target - EXPONENT_TOL
-            report.add(
-                CheckRecord(
-                    name="blowup.boundary-exponent",
-                    stage="blowup",
-                    passed=ok,
-                    value=bnd.slope,
-                    target=target,
-                    tolerance=EXPONENT_TOL,
-                    note="datum attainment rate along the drift flow"
-                    + ("" if pb.f is None else " (one-sided: source term present)"),
-                )
+            _add_check(
+                report, "blowup.boundary-exponent", ok, value=bnd.slope, target=target,
+                tolerance=EXPONENT_TOL, note="datum attainment rate along the drift flow"
+                + ("" if pb.f is None else " (one-sided: source term present)"),
             )
     if pb.f is not None and pb.g is None:
-        pairs = []
-        for gap in cfg.t_ladder:
-            t = pb.T - gap
-            sup = max(abs(solve_point(pb, cfg.solver, t, x).u) for x in cfg.probes())
-            pairs.append((gap, sup))
-        fit = fit_blowup_exponent(pairs)
-        target = 1.0 - pb.gamma
-        report.add(
-            CheckRecord(
-                name="blowup.source-weight-exponent",
-                stage="blowup",
-                passed=abs(fit.slope - target) <= EXPONENT_TOL and not fit.unreliable,
-                value=fit.slope,
-                target=target,
-                tolerance=EXPONENT_TOL,
-                note=f"source weight gamma={pb.gamma}; residual {fit.residual:.3f}",
-            )
+        _exponent_check(
+            report, "blowup.source-weight-exponent",
+            _ladder_sups(pb.T, cfg.t_ladder, cfg.probes(),
+                         lambda t, x: abs(solve_point(pb, cfg.solver, t, x).u)),
+            target=1.0 - pb.gamma,
+            note=lambda fit: f"source weight gamma={pb.gamma}; residual {fit.residual:.3f}",
         )
 
 
@@ -821,30 +742,18 @@ def taylor_stage(cfg: SuiteConfig, report: VerificationReport):
     spec = replace(spec, t_box=(0.05 * cfg.T, 0.9 * cfg.T))
     alpha = min(cfg.alpha, 1.0)
     smooth = taylor_remainder_check(ClosedFormSolution(cfg.T), alpha, S, spec)
-    report.add(
-        CheckRecord(
-            name="taylor.bounded",
-            stage="taylor",
-            passed=smooth.bounded_factor < 2.0,
-            value=smooth.bounded_factor,
-            target=1.0,
-            tolerance=1.0,
-            note="ladder max / median of remainder quotients, closed-form solution",
-        )
+    _add_check(
+        report, "taylor.bounded", smooth.bounded_factor < 2.0, value=smooth.bounded_factor,
+        target=1.0, tolerance=1.0,
+        note="ladder max / median of remainder quotients, closed-form solution",
     )
     kink = taylor_remainder_check(KinkFunction(), alpha, S, spec)
     growth = (
         float(kink.ratios[-1] / kink.ratios[0]) if kink.ratios[0] > 0 else float("inf")
     )
-    report.add(
-        CheckRecord(
-            name="taylor.kink-control",
-            stage="taylor",
-            passed=growth >= 10.0,
-            value=growth,
-            target=10.0,
-            note="negative control: quotient growth across the ladder",
-        )
+    _add_check(
+        report, "taylor.kink-control", growth >= 10.0, value=growth, target=10.0,
+        note="negative control: quotient growth across the ladder",
     )
 
 
@@ -874,13 +783,8 @@ def run_verification_suite(cfg: SuiteConfig, threads: int = 1) -> VerificationRe
             else:
                 _STAGE_FNS[stage](cfg, report)
         except (KolkinError, FloatingPointError, np.linalg.LinAlgError) as e:
-            report.add(
-                CheckRecord(
-                    name=f"{stage}.error",
-                    stage=stage,
-                    passed=False,
-                    note=f"{type(e).__name__}: {e}",
-                )
+            _add_check(
+                report, f"{stage}.error", False, note=f"{type(e).__name__}: {e}",
             )
         if any(not c.passed for c in report.checks[before:]):
             break

@@ -11,8 +11,13 @@ from kolkin import (
     CheckRecord,
     InvalidData,
     IoError,
+    LeviConfig,
+    SdeConfig,
+    SolverConfig,
+    SuiteConfig,
     VerificationReport,
     emit_report,
+    feynman_kac_estimate,
     load_report,
     load_suite_config,
     named_suite,
@@ -113,6 +118,65 @@ def test_named_suite_config_round_trips_through_json():
     cfg = named_suite("langevin-sinusoidal")
     rebuilt = type(cfg).from_json(cfg.to_json())
     assert rebuilt.to_json() == cfg.to_json()
+
+
+def test_config_with_every_field_set_round_trips_through_json():
+    cfg = SuiteConfig(
+        suite="custom",
+        seed=7,
+        drift=(0.0, 0.0, 1.0, 0.0),
+        coefficients={"family": "constant", "sigma2": 2.0},
+        datum={"family": "abs", "axis": 0},
+        source={"family": "coordinate", "axis": 1},
+        alpha=0.4,
+        T=2.0,
+        t_ladder=(0.5, 0.25, 0.125, 0.0625),
+        probe_box=((-1.0, 1.0), (-0.5, 0.5)),
+        n_probes=4,
+        t_solve=0.7,
+        stages=("structure", "kernel"),
+        levi=LeviConfig(depth=3),
+        solver=SolverConfig(levi=LeviConfig(depth=1, grading=1.5), terminal_nodes=7),
+        sde=SdeConfig(n_paths=500, n_steps=20, seed=3),
+        sampler={"levels": 5, "n_base": 8},
+        out_dir="reports/custom",
+    )
+    obj = cfg.to_json()
+    rebuilt = SuiteConfig.from_json(json.loads(json.dumps(obj)))
+    assert rebuilt.to_json() == obj
+    assert rebuilt.drift == cfg.drift and rebuilt.out_dir == cfg.out_dir
+    assert rebuilt.solver == cfg.solver and rebuilt.sde == cfg.sde
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("suite_name",),
+        ("grids", "n_probe"),
+        ("modules", "sde", "n_path"),
+        ("modules", "sampler", "level"),
+        ("modules", "solver", "levi", "dept"),
+    ],
+    ids=["top-level", "grids", "modules.sde", "modules.sampler", "modules.solver.levi"],
+)
+def test_unknown_config_key_is_rejected_naming_it(path):
+    obj = named_suite("langevin-constant").to_json()
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 3
+    with pytest.raises(InvalidData, match=f"'{path[-1]}'"):
+        SuiteConfig.from_json(obj)
+
+
+def test_cli_rejects_an_unknown_config_key_with_exit_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    obj = write_fast_config(cfg_path)
+    obj["modules"]["sde"]["n_path"] = 10
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["--config", str(cfg_path), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'n_path'" in err and "modules.sde" in err
 
 
 def test_load_suite_config_errors(tmp_path):
@@ -236,6 +300,31 @@ def test_cli_sde_reports_interval(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "estimate" in out and "3-sigma" in out
     assert (out_dir / "terminal.csv").exists()
+
+
+def test_cli_sde_simulates_the_paths_once(tmp_path, capsys, monkeypatch):
+    import kolkin.cli
+    import kolkin.sde
+
+    calls = []
+    simulate = kolkin.sde.simulate_paths
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(kolkin.sde, "simulate_paths", counted)
+    monkeypatch.setattr(kolkin.cli, "simulate_paths", counted)
+    cfg_path = tmp_path / "cfg.json"
+    out_dir = tmp_path / "out"
+    write_fast_config(cfg_path, out_dir=out_dir)
+    assert main(["--config", str(cfg_path), "sde"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert (out_dir / "terminal.csv").exists()
+    cfg = load_suite_config(cfg_path)
+    est = feynman_kac_estimate(cfg.problem(), cfg.sde, cfg.t_solve, cfg.probes()[0])
+    assert f"estimate {est.mean:+.8f} +- {est.std_error:.2e}" in out
 
 
 def test_cli_holder_writes_norm_estimate(tmp_path, capsys):
