@@ -18,8 +18,8 @@ differences of u.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,10 @@ from .structure import matrix_exp
 class SolverConfig:
     """Quadrature sizes for the potential evaluations.
 
-    The time grading exponent defaults to 2/alpha of the problem, matching
-    the substitution that tames the endpoint singularities of the source
+    The interior lattice takes its depth, covariance nodes, grading and
+    min_gap from levi and its sizes from time_nodes / space_nodes.  The
+    time grading exponent defaults to 2/alpha of the problem, matching the
+    substitution that tames the endpoint singularities of the source
     potentials; min_gap keeps the closest slice a positive distance from
     both endpoints.
     """
@@ -59,18 +61,14 @@ class SolverConfig:
     time_nodes: int = 14
     space_nodes: int = 9
     smoothing_nodes: int = 9
-    grading: Optional[float] = None
-    min_gap: float = 1e-5
 
     def lattice_config(self, alpha: float) -> LeviConfig:
-        p = self.grading if self.grading is not None else 2.0 / alpha
-        return LeviConfig(
-            depth=self.levi.depth,
+        grading = self.levi.grading
+        return replace(
+            self.levi,
             time_nodes=self.time_nodes,
             space_nodes=self.space_nodes,
-            grading=max(1.0, p),
-            cov_nodes=self.levi.cov_nodes,
-            min_gap=self.min_gap,
+            grading=max(1.0, 2.0 / alpha) if grading is None else grading,
         )
 
 

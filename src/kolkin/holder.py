@@ -12,13 +12,13 @@ reproducible given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidData, MissingDerivative
+from .quadrature import halton_box, keyed_rng
 from .structure import DriftStructure, anisotropic_norm, dilation, expm_stack, matrix_exp
 
 
@@ -88,8 +88,7 @@ def _base_points(spec: SamplerSpec, N: int) -> np.ndarray:
     if box.shape != (N, 2):
         raise InvalidData(f"sampler box must have shape ({N}, 2), got {box.shape}")
     lo, hi = box[:, 0], box[:, 1]
-    h = qmc.Halton(d=N, scramble=False)
-    pts = lo + h.random(spec.n_base) * (hi - lo)
+    pts = halton_box(box, spec.n_base)
     extras = [0.5 * (lo + hi)]
     if np.all((lo <= 0) & (hi >= 0)):
         extras.append(np.zeros(N))
@@ -102,7 +101,7 @@ def _base_points(spec: SamplerSpec, N: int) -> np.ndarray:
 
 
 def _directions(spec: SamplerSpec, S: DriftStructure, degenerate_only: bool) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 77], dtype=np.uint64)))
+    rng = keyed_rng(spec.seed, 77)
     v = rng.standard_normal((spec.n_directions, S.N))
     if degenerate_only:
         v[:, : S.d] = 0.0
@@ -222,8 +221,7 @@ def _time_bases(spec: SamplerSpec) -> np.ndarray:
     lo, hi = spec.t_box
     if not hi > lo:
         raise InvalidData(f"empty time window {spec.t_box}")
-    h = qmc.Halton(d=1, scramble=False)
-    ts = lo + h.random(spec.n_base).reshape(-1) * (hi - lo)
+    ts = halton_box([(lo, hi)], spec.n_base)[:, 0]
     return np.concatenate([[lo, 0.5 * (lo + hi), hi], ts])
 
 

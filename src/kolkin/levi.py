@@ -38,7 +38,7 @@ from .kernels import (
     parametrix_stack,
     reference_covariance,
 )
-from .quadrature import gaussian_product, graded_nodes, hermite_lattice, proposal_nodes
+from .quadrature import gaussian_product, graded_nodes, proposal_nodes
 from .structure import expm_stack
 
 GRADING_CAP = 6.0
@@ -51,7 +51,8 @@ class LeviConfig:
     depth: number of series terms kept (0 disables the correction).
     time_nodes / space_nodes: lattice sizes (space_nodes is per axis).
     grading: power of the two-sided graded time map; defaults to
-        min(2/alpha_bar, GRADING_CAP).
+        min(2/alpha_bar, GRADING_CAP), and to max(1, 2/alpha) on the
+        solver's lattice (SolverConfig.lattice_config).
     cov_nodes: quadrature nodes for each frozen covariance inside the
         lattice machinery (the public kernel API keeps its own default).
     min_gap: smallest time gap evaluated; graded nodes closer than this to
@@ -84,9 +85,7 @@ class LeviConfig:
 @dataclass
 class _Lattice:
     times: np.ndarray  # (n_t,)
-    t_weights: np.ndarray  # (n_t,)
     points: np.ndarray  # (n_t, n_z, N)
-    w_z: np.ndarray  # (n_t, n_z)
     flat_t: np.ndarray  # (n_nodes,)
     flat_x: np.ndarray  # (n_nodes, N)
     omega: np.ndarray  # (n_nodes,) combined space-time weights
@@ -96,47 +95,28 @@ class _Lattice:
         return self.points.shape[:2]
 
 
-def _proposals(S, mu, times, t, x, s=None, y=None):
-    """Per-time Gaussian proposals along the bridge (t,x) -> optional (s,y)."""
-    means, chols = [], []
-    fwd = expm_stack(S.B, times - t)
-    C_fwd = mu * reference_covariance(S, times - t)
-    if y is not None:
-        back = expm_stack(S.B, times - s)
-        C_b = mu * reference_covariance(S, s - times)
-        C_back = np.einsum("mik,mkl,mjl->mij", back, C_b, back)
-    for q in range(times.size):
-        m1 = fwd[q] @ np.asarray(x, dtype=float)
-        if y is None:
-            m, C = m1, C_fwd[q]
-        else:
-            m2 = back[q] @ np.asarray(y, dtype=float)
-            m, C = gaussian_product(m1, C_fwd[q], m2, C_back[q])
-        means.append(m)
-        chols.append(np.linalg.cholesky(0.5 * (C + C.T)))
-    return means, chols
-
-
 def _build_lattice(cf, S, cfg, t, x, s, y=None) -> _Lattice:
+    """Graded time slices in (t, s), each with the Gauss-Hermite cloud of the
+    forward tube N(e^((r-t)B) x, mu C(r-t)), multiplied by the backward tube
+    from (s, y) when y is given."""
     if not s > t:
         raise EmptyInterval(f"lattice needs s > t, got ({t}, {s})")
     p = cfg.grading_power(cf.alpha_bar)
     times, tw = graded_nodes(t, s, cfg.time_nodes, p, min_gap=cfg.min_gap)
     if times.size == 0:
         raise EmptyInterval("graded time grid is empty; interval too short")
-    means, chols = _proposals(S, cf.mu, times, t, x, s=s, y=y)
-    pts, wz = [], []
-    for q in range(times.size):
-        pq, wq = proposal_nodes(means[q], chols[q], cfg.space_nodes)
-        pts.append(pq)
-        wz.append(wq)
-    points = np.stack(pts)  # (n_t, n_z, N)
-    w_z = np.stack(wz)
-    n_t, n_z = points.shape[:2]
-    flat_t = np.repeat(times, n_z)
-    flat_x = points.reshape(-1, S.N)
+    means = expm_stack(S.B, times - t) @ np.asarray(x, dtype=float)
+    C = cf.mu * reference_covariance(S, times - t)
+    if y is not None:
+        back = expm_stack(S.B, times - s)
+        C_b = cf.mu * reference_covariance(S, s - times)
+        C_back = np.einsum("mik,mkl,mjl->mij", back, C_b, back)
+        means, C = gaussian_product(means, C, back @ np.asarray(y, dtype=float), C_back)
+    chols = np.linalg.cholesky(0.5 * (C + np.swapaxes(C, -1, -2)))
+    points, w_z = proposal_nodes(means, chols, cfg.space_nodes)  # (n_t, n_z, N)
+    flat_t = np.repeat(times, points.shape[1])
     omega = (tw[:, None] * w_z).reshape(-1)
-    return _Lattice(times, tw, points, w_z, flat_t, flat_x, omega)
+    return _Lattice(times, points, flat_t, points.reshape(-1, S.N), omega)
 
 
 def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> np.ndarray:
@@ -155,12 +135,11 @@ def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> n
     centers = np.einsum("tij,taj->tai", flowT, lat.points)  # (n_t, n_z, N)
     covs = cf.mu * reference_covariance(S, T - lat.times)
     chols = np.linalg.cholesky(0.5 * (covs + covs.transpose(0, 2, 1)))
-    logdet_l = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    xi, log_w0 = hermite_lattice(N, eta_nodes)  # (n_c, N)
-    n_c = xi.shape[0]
-    offs = np.sqrt(2.0) * np.einsum("tij,cj->tci", chols, xi)  # (n_t, n_c, N)
+    # zero-mean clouds: the exact offsets y - centre, which _gauss_eval takes
+    # directly (forming them by subtraction cancels at small gaps)
+    offs, w_eta = proposal_nodes(np.zeros((n_t, N)), chols, eta_nodes)
+    n_c = offs.shape[1]
     y = centers[:, :, None, :] + offs[:, None, :, :]  # (n_t, n_z, n_c, N)
-    w_eta = np.exp(log_w0[None, :] + logdet_l[:, None])  # (n_t, n_c)
 
     M = n_t * n_z * n_c
     shape = (n_t, n_z, n_c)

@@ -1,4 +1,5 @@
-"""Quadrature helpers: Gauss rules, graded time maps, Hermite lattices.
+"""Quadrature helpers: Gauss rules, graded time maps, Hermite lattices,
+and the seeded point sources (keyed Philox streams, Halton boxes).
 
 Conventions.  Smooth time integrals use Gauss-Legendre rules, which their
 callers split into panels at the coefficient breakpoints; integrals with
@@ -15,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.stats import qmc
 
 from .errors import EmptyInterval, SingularCovariance
 
@@ -82,17 +84,20 @@ def hermite_lattice(dim: int, n: int):
 
 
 def proposal_nodes(mean, chol, n: int):
-    """Nodes and Lebesgue weights for a Gaussian proposal N(mean, chol chol^T)."""
+    """Nodes (..., n^N, N) and Lebesgue weights (..., n^N) for Gaussian
+    proposals N(mean, chol chol^T), batched over leading axes of mean/chol."""
     mean = np.asarray(mean, dtype=float)
+    chol = np.asarray(chol, dtype=float)
     dim = mean.shape[-1]
     xi, log_w0 = hermite_lattice(dim, n)
-    pts = mean + np.sqrt(2.0) * xi @ np.asarray(chol).T
-    logdet_l = float(np.sum(np.log(np.diag(chol))))
-    return pts, np.exp(log_w0 + logdet_l)
+    pts = mean[..., None, :] + np.sqrt(2.0) * xi @ np.swapaxes(chol, -1, -2)
+    logdet_l = np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return pts, np.exp(log_w0 + logdet_l[..., None])
 
 
 def gaussian_product(m1, C1, m2, C2):
-    """Mean and covariance of the normalized product of two Gaussians."""
+    """Mean and covariance of the normalized product of two Gaussians,
+    batched over leading axes."""
     C1 = np.asarray(C1, dtype=float)
     C2 = np.asarray(C2, dtype=float)
     try:
@@ -101,6 +106,20 @@ def gaussian_product(m1, C1, m2, C2):
         C = np.linalg.inv(P1 + P2)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"singular factor in Gaussian product: {exc}")
-    C = 0.5 * (C + C.T)
-    m = C @ (P1 @ np.asarray(m1, dtype=float) + P2 @ np.asarray(m2, dtype=float))
+    C = 0.5 * (C + np.swapaxes(C, -1, -2))
+    m1 = np.asarray(m1, dtype=float)[..., None]
+    m2 = np.asarray(m2, dtype=float)[..., None]
+    m = (C @ (P1 @ m1 + P2 @ m2))[..., 0]
     return m, C
+
+
+def keyed_rng(seed: int, key: int) -> np.random.Generator:
+    """Independent Philox stream keyed by the pair (seed, key)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+
+
+def halton_box(box, n: int) -> np.ndarray:
+    """First n unscrambled Halton points in the (dim, 2) box; prefixes nest."""
+    box = np.asarray(box, dtype=float)
+    h = qmc.Halton(d=box.shape[0], scramble=False)
+    return box[:, 0] + h.random(n) * (box[:, 1] - box[:, 0])

@@ -11,25 +11,26 @@ with I_a0(tau) = int_t0^tau a0(r, X_r) dr; the a0 integral is accumulated by
 the left-endpoint rule and the weighted f integral by the trapezoidal rule
 along the simulated paths.
 
-Randomness is counter-based and chunked: path chunk c of a run with seed s
-draws from an independent Philox stream keyed by (s, c), and reductions run
-in fixed chunk order, so results are reproducible bit-for-bit regardless of
-how chunks are scheduled.
+Randomness is counter-based in fixed blocks of BLOCK paths: block b of seed
+s draws from the Philox stream keyed by (s, b), and reductions run in block
+order, so a path's draw depends on the seed and its index alone.
+Antithetic pairs (xi, -xi) fill the two halves of one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import InvalidData
 from .kernels import frozen_covariance
+from .quadrature import keyed_rng
 from .structure import DriftStructure, matrix_exp
 
 SCHEMES = ("euler-maruyama", "exact-gaussian")
+BLOCK = 1024  # paths per Philox stream
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,12 @@ class SdeConfig:
     scheme: str = "euler-maruyama"
     seed: int = 0
     antithetic: bool = True
-    chunk: int = 1024
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1:
             raise InvalidData("n_paths and n_steps must be >= 1")
         if self.scheme not in SCHEMES:
             raise InvalidData(f"unknown scheme '{self.scheme}'; choose from {SCHEMES}")
-        if self.chunk < 2:
-            raise InvalidData("chunk must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,6 @@ class PathBundle:
     terminal: np.ndarray  # (n, N)
     log_weight: np.ndarray  # (n,) accumulated integral of a0
     source_integral: np.ndarray  # (n,) accumulated weighted integral of f
-    t0: float
-    T: float
-    n_steps: int
 
 
 def principal_sqrt_psd(mats: np.ndarray) -> np.ndarray:
@@ -88,35 +83,28 @@ def principal_sqrt_psd(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", V, root, V)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_sizes(n_paths: int, antithetic: bool) -> list:
+    """Path counts of the consecutive blocks; antithetic runs round n_paths
+    up to even, so every block splits into two halves."""
+    n = n_paths + n_paths % 2 if antithetic else n_paths
+    return [min(BLOCK, n - start) for start in range(0, n, BLOCK)]
 
 
-def _chunk_sizes(n_paths: int, chunk: int, antithetic: bool):
-    if antithetic:
-        # keep chunks even so antithetic pairs never straddle a boundary
-        chunk -= chunk % 2
-        n_paths += n_paths % 2
-    sizes = []
-    left = n_paths
-    while left > 0:
-        m = min(chunk, left)
-        if antithetic and m % 2:
-            m -= 1
-        sizes.append(m)
-        left -= m
-    return sizes
+def _normals(rng, m: int, dim: int, antithetic: bool) -> np.ndarray:
+    """m standard normal rows; antithetic draws stack (xi, -xi)."""
+    if not antithetic:
+        return rng.standard_normal((m, dim))
+    xi = rng.standard_normal((m // 2, dim))
+    return np.concatenate([xi, -xi])
 
 
 def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
-    N, d = S.N, S.d
+    d = S.d
     dt = (T - t0) / n_steps
     sdt = np.sqrt(dt)
     X = np.tile(np.asarray(x0, dtype=float), (m, 1))
     Ia = np.zeros(m)
     If = np.zeros(m)
-    half = m // 2
     Bt = S.B.T
     if f is not None:
         fw = np.asarray(f(np.full(m, t0), X), dtype=float)
@@ -125,11 +113,7 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
         if cf.a0 is not None:
             Ia += np.asarray(cf.a0(tv, X), dtype=float) * dt
         sig = principal_sqrt_psd(cf.a2(tv, X))
-        if antithetic:
-            xi = rng.standard_normal((half, d))
-            xi = np.concatenate([xi, -xi])
-        else:
-            xi = rng.standard_normal((m, d))
+        xi = _normals(rng, m, d, antithetic)
         X = X + (X @ Bt) * dt
         if cf.a1 is not None:
             X[:, :d] += np.asarray(cf.a1(tv, X), dtype=float) * dt
@@ -139,28 +123,6 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
             If += 0.5 * (fw + fw_next) * dt
             fw = fw_next
     return X, Ia, If
-
-
-def _require_exact_admissible(cf: CoefficientField, f):
-    if cf.constant_a2 is None or cf.a1 is not None or cf.a0 is not None:
-        raise InvalidData(
-            "exact-gaussian sampling needs constant a2 with a1 = a0 = 0"
-        )
-    if f is not None:
-        raise InvalidData("exact-gaussian sampling cannot accumulate a source integral")
-
-
-def _exact_chunk(cf, S, t0, x0, T, m, rng, antithetic):
-    mean = matrix_exp(S.B, T - t0) @ np.asarray(x0, dtype=float)
-    cov = frozen_covariance(cf, S, T, np.zeros(S.N), t0, T)
-    half = m // 2
-    if antithetic:
-        xi = rng.standard_normal((half, S.N))
-        xi = np.concatenate([xi, -xi])
-    else:
-        xi = rng.standard_normal((m, S.N))
-    X = mean + xi @ cov.chol.T
-    return X, np.zeros(m), np.zeros(m)
 
 
 def simulate_paths(
@@ -180,29 +142,23 @@ def simulate_paths(
     """
     if not T > t0:
         raise InvalidData(f"need T > t0, got ({t0}, {T})")
-    if cfg.scheme == "exact-gaussian":
-        _require_exact_admissible(cf, f)
-    sizes = _chunk_sizes(cfg.n_paths, cfg.chunk, cfg.antithetic)
+    exact = cfg.scheme == "exact-gaussian"
+    if exact:
+        if cf.constant_a2 is None or cf.a1 is not None or cf.a0 is not None:
+            raise InvalidData("exact-gaussian sampling needs constant a2 with a1 = a0 = 0")
+        if f is not None:
+            raise InvalidData("exact-gaussian sampling cannot accumulate a source integral")
+        mean = matrix_exp(S.B, T - t0) @ np.asarray(x0, dtype=float)
+        chol_t = frozen_covariance(cf, S, T, np.zeros(S.N), t0, T).chol.T
     outs = []
-    for c, m in enumerate(sizes):
-        rng = _chunk_rng(cfg.seed, c)
-        if cfg.scheme == "exact-gaussian":
-            outs.append(_exact_chunk(cf, S, t0, x0, T, m, rng, cfg.antithetic))
+    for b, m in enumerate(_block_sizes(cfg.n_paths, cfg.antithetic)):
+        rng = keyed_rng(cfg.seed, b)
+        if exact:
+            X = mean + _normals(rng, m, S.N, cfg.antithetic) @ chol_t
+            outs.append((X, np.zeros(m), np.zeros(m)))
         else:
-            outs.append(
-                _em_chunk(cf, S, t0, x0, T, cfg.n_steps, m, rng, cfg.antithetic, f)
-            )
-    X = np.concatenate([o[0] for o in outs])
-    Ia = np.concatenate([o[1] for o in outs])
-    If = np.concatenate([o[2] for o in outs])
-    return PathBundle(
-        terminal=X,
-        log_weight=Ia,
-        source_integral=If,
-        t0=float(t0),
-        T=float(T),
-        n_steps=cfg.n_steps,
-    )
+            outs.append(_em_chunk(cf, S, t0, x0, T, cfg.n_steps, m, rng, cfg.antithetic, f))
+    return PathBundle(*(np.concatenate(parts) for parts in zip(*outs)))
 
 
 def feynman_kac_estimate(pb, cfg: SdeConfig, t0: float, x0) -> McEstimate:
@@ -223,13 +179,8 @@ def estimate_from_paths(pb, cfg: SdeConfig, bundle: PathBundle) -> McEstimate:
             pb.g(bundle.terminal), dtype=float
         )
     if cfg.antithetic:
-        folded = []
-        start = 0
-        for m in _chunk_sizes(cfg.n_paths, cfg.chunk, True):
-            v = vals[start : start + m]
-            folded.append(0.5 * (v[: m // 2] + v[m // 2 :]))
-            start += m
-        vals = np.concatenate(folded)
+        blocks = np.split(vals, np.cumsum(_block_sizes(cfg.n_paths, True))[:-1])
+        vals = np.concatenate([0.5 * (v[: v.size // 2] + v[v.size // 2 :]) for v in blocks])
     n = vals.size
     mean = float(np.mean(vals))
     std_error = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")

@@ -30,14 +30,16 @@ from .kernels import (
 )
 from .levi import LeviConfig, phi_eval
 from .problems import CauchyProblem, make_datum, make_source
-from .quadrature import gaussian_product, proposal_nodes
+from .quadrature import gaussian_product, halton_box, keyed_rng, proposal_nodes
 from .report import CheckRecord, VerificationReport, emit_report
 from .sde import SdeConfig, feynman_kac_estimate
 from .structure import (
     DriftStructure,
     block_structure,
     controllability_gramian_rank,
+    dilation,
     kalman_rank,
+    matrix_exp,
 )
 
 DEFAULT_T_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)
@@ -199,6 +201,10 @@ class SuiteConfig:
             raise InvalidData(f"unknown stages {sorted(unknown)}; expected {STAGES}")
         if not 0 < self.t_solve < self.T:
             raise InvalidData("solver probe time must lie inside (0, T)")
+        try:
+            self.sampler_spec()
+        except TypeError as e:
+            raise InvalidData(f"bad value in config section 'modules.sampler': {e}") from e
 
     # -- constructed objects -------------------------------------------------
     def drift_matrix(self) -> np.ndarray:
@@ -241,12 +247,7 @@ class SuiteConfig:
         return make_source(fam, **params)
 
     def probes(self) -> np.ndarray:
-        from scipy.stats import qmc
-
-        box = np.asarray(self.probe_box, dtype=float)
-        h = qmc.Halton(d=box.shape[0], scramble=False)
-        pts = box[:, 0] + h.random(self.n_probes) * (box[:, 1] - box[:, 0])
-        return pts
+        return halton_box(self.probe_box, self.n_probes)
 
     def sampler_spec(self) -> SamplerSpec:
         params = dict(self.sampler)
@@ -385,7 +386,7 @@ def structure_stage(cfg: SuiteConfig, report: VerificationReport):
         report, "structure.canonical", True, value=float(S.N),
         note=f"blocks={S.blocks}, Q={S.Q}",
     )
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 11], dtype=np.uint64)))
+    rng = keyed_rng(cfg.seed, 11)
     agree = 0
     for _ in range(STRUCTURE_DRIFTS):
         B, d0 = random_canonical_drift(rng)
@@ -401,11 +402,9 @@ def structure_stage(cfg: SuiteConfig, report: VerificationReport):
 
 def kernel_mass(cf, S, t: float, x, s: float, nodes: int = 24) -> float:
     """Integral of the frozen-coefficient kernel over its forward variable."""
-    from scipy.linalg import cholesky, expm
-
-    mean = expm((s - t) * S.B) @ np.asarray(x, dtype=float)
+    mean = matrix_exp(S.B, s - t) @ np.asarray(x, dtype=float)
     C = cf.mu * reference_covariance(S, [s - t])[0]
-    pts, w = proposal_nodes(mean, cholesky(C, lower=True), nodes)
+    pts, w = proposal_nodes(mean, np.linalg.cholesky(C), nodes)
     vals = parametrix_stack(
         cf, S, np.full(len(pts), t), np.tile(x, (len(pts), 1)), np.full(len(pts), s), pts
     )["value"]
@@ -418,16 +417,15 @@ def chapman_kolmogorov_error(cf, S, t: float, x, s: float, tau: float, y, nodes:
     Both sides are compared in log space, so kernels that underflow in
     double precision still give a finite error.
     """
-    from scipy.linalg import cholesky, expm
     from scipy.special import logsumexp
 
-    m1 = expm((s - t) * S.B) @ np.asarray(x, dtype=float)
+    m1 = matrix_exp(S.B, s - t) @ np.asarray(x, dtype=float)
     C1 = frozen_covariance(cf, S, s, np.asarray(y, dtype=float), t, s).C
-    back = expm(-(tau - s) * S.B)
+    back = matrix_exp(S.B, -(tau - s))
     m2 = back @ np.asarray(y, dtype=float)
     C2 = back @ frozen_covariance(cf, S, tau, np.asarray(y, dtype=float), s, tau).C @ back.T
     m, C = gaussian_product(m1, C1, m2, C2)
-    pts, w = proposal_nodes(m, cholesky(C, lower=True), nodes)
+    pts, w = proposal_nodes(m, np.linalg.cholesky(C), nodes)
     n = len(pts)
     z1 = parametrix_stack(cf, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), pts)
     z2 = parametrix_stack(cf, S, np.full(n, s), pts, np.full(n, tau), np.tile(y, (n, 1)))
@@ -443,10 +441,8 @@ def gaussian_bound_constants(cf, S, gaps, x, spec: SamplerSpec) -> np.ndarray:
     |Z| / G, |grad Z| * gap^(1/2) / G and |hess Z| * gap / G with G the
     doubled-scale reference Gaussian.
     """
-    from .structure import dilation, matrix_exp
-
     x = np.asarray(x, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 23], dtype=np.uint64)))
+    rng = keyed_rng(spec.seed, 23)
     dirs = rng.standard_normal((spec.n_directions, S.N))
     radii = (0.25, 0.75, 1.5)
     out = np.zeros((3, len(gaps)))
@@ -482,10 +478,8 @@ def phi_smallness_pairs(cf, S, cfg: LeviConfig, gaps, x, seed: int = 0) -> list:
     the kernel width sqrt(gap), so the reference Gaussian stays well away
     from underflow at every ladder level.
     """
-    from .structure import dilation, matrix_exp
-
     x = np.asarray(x, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 29], dtype=np.uint64)))
+    rng = keyed_rng(seed, 29)
     dirs = rng.standard_normal((2, S.N))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pairs = []
@@ -508,7 +502,7 @@ def phi_smallness_pairs(cf, S, cfg: LeviConfig, gaps, x, seed: int = 0) -> list:
 def kernel_stage(cfg: SuiteConfig, report: VerificationReport):
     S = cfg.structure()
     cf = cfg.coefficient_field()
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 13], dtype=np.uint64)))
+    rng = keyed_rng(cfg.seed, 13)
     box = np.asarray(cfg.probe_box, dtype=float)
 
     def rand_x():

@@ -11,6 +11,7 @@ from kolkin import (
     CauchyProblem,
     Datum,
     EmptyInterval,
+    LeviConfig,
     SdeConfig,
     SolverConfig,
     boundary_regY_check,
@@ -25,6 +26,15 @@ from kolkin import (
 
 X0 = np.array([0.3, 0.1])
 CFG = SolverConfig()
+
+
+def test_lattice_config_honours_the_levi_grading_and_min_gap():
+    cfg = SolverConfig(levi=LeviConfig(grading=1.5, min_gap=1e-3), time_nodes=6)
+    lat = cfg.lattice_config(alpha=0.5)
+    assert (lat.grading, lat.min_gap, lat.time_nodes) == (1.5, 1e-3, 6)
+    default = SolverConfig().lattice_config(alpha=0.5)
+    assert (default.grading, default.min_gap) == (4.0, 1e-5)
+    assert SolverConfig().lattice_config(alpha=4.0).grading == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,20 @@ def test_hermite_lattice_normalization():
         float(np.dot(w, dens)), rel=1e-12
     )
     assert float(np.dot(w, dens)) == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_stacked_proposal_helpers_equal_per_row_calls(N):
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((2, 4, N, N))
+    C = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(N)
+    m1, m2 = rng.standard_normal((2, 4, N))
+    m, P = gaussian_product(m1, C[0], m2, C[1])
+    chol = np.linalg.cholesky(P)
+    pts, w = proposal_nodes(m, chol, 4)
+    assert pts.shape == (4, 4**N, N) and w.shape == (4, 4**N)
+    for k in range(4):
+        mk, Pk = gaussian_product(m1[k], C[0, k], m2[k], C[1, k])
+        assert np.array_equal(mk, m[k]) and np.array_equal(Pk, P[k])
+        pk, wk = proposal_nodes(m[k], chol[k], 4)
+        assert np.array_equal(pk, pts[k]) and np.array_equal(wk, w[k])

@@ -179,6 +179,18 @@ def test_cli_rejects_an_unknown_config_key_with_exit_two(tmp_path, capsys):
     assert "error:" in err and "'n_path'" in err and "modules.sde" in err
 
 
+def test_bad_sampler_value_is_rejected_at_load(tmp_path, capsys):
+    with pytest.raises(InvalidData, match="modules.sampler"):
+        named_suite("langevin-constant", sampler={"levels": "x"})
+    cfg_path = tmp_path / "cfg.json"
+    obj = write_fast_config(cfg_path)
+    obj["modules"]["sampler"]["levels"] = "x"
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["--config", str(cfg_path), "kernel"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "modules.sampler" in err
+
+
 def test_load_suite_config_errors(tmp_path):
     with pytest.raises(IoError):
         load_suite_config(tmp_path / "missing.json")

@@ -149,19 +149,22 @@ def test_constant_weight_integral_exact(S2, cf_const):
 
 
 # ----------------------------------------------------------------------
-# reproducibility, chunking, antithetics
+# reproducibility, path blocks, antithetics
 # ----------------------------------------------------------------------
 
 
-def test_bitwise_reproducible_across_chunk_sizes(S2, cf_sin):
-    pb = CauchyProblem(cf=cf_sin, S=S2, T=1.0, g=make_datum("sine"), alpha=0.3)
-    a = feynman_kac_estimate(
-        pb, SdeConfig(n_paths=5000, n_steps=13, seed=42, chunk=1024), 0.2, X0
-    )
-    b = feynman_kac_estimate(
-        pb, SdeConfig(n_paths=5000, n_steps=13, seed=42, chunk=1024), 0.2, X0
-    )
-    assert a.mean == b.mean and a.std_error == b.std_error
+@pytest.mark.parametrize("scheme", ["euler-maruyama", "exact-gaussian"])
+def test_path_draw_does_not_depend_on_the_path_count(S2, cf_const, scheme):
+    # each 1024-path block draws from its own (seed, block) stream, so the
+    # first block of a long run is the first block of a shorter one
+    runs = [
+        simulate_paths(
+            cf_const, S2, SdeConfig(n_paths=n, n_steps=13, seed=42, scheme=scheme),
+            0.2, X0, 1.0,
+        ).terminal
+        for n in (5000, 1500)
+    ]
+    assert np.array_equal(runs[0][:1024], runs[1][:1024])
 
 
 def test_seed_changes_the_draw(S2, cf_sin):
@@ -173,9 +176,9 @@ def test_seed_changes_the_draw(S2, cf_sin):
 
 def test_odd_path_count_rounds_up_for_antithetic(S2, cf_const):
     b = simulate_paths(
-        cf_const, S2, SdeConfig(n_paths=777, n_steps=3, seed=0, chunk=100), 0.0, X0, 1.0
+        cf_const, S2, SdeConfig(n_paths=777, n_steps=3, seed=0), 0.0, X0, 1.0
     )
-    assert b.terminal.shape[0] == 778  # pairs never straddle a chunk
+    assert b.terminal.shape[0] == 778
 
 
 def test_antithetic_reduces_standard_error(S2, cf_const):
@@ -218,8 +221,6 @@ def test_config_validated():
         SdeConfig(n_paths=0)
     with pytest.raises(InvalidData):
         SdeConfig(scheme="milstein")
-    with pytest.raises(InvalidData):
-        SdeConfig(chunk=1)
 
 
 # ----------------------------------------------------------------------
