@@ -23,14 +23,22 @@ from .errors import EmptyInterval, SingularCovariance
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _read_only(rule):
+    # The cache hands the same arrays to every caller; an in-place write
+    # would corrupt every later quadrature in the process.
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(int(n))
+    return _read_only(np.polynomial.legendre.leggauss(int(n)))
 
 
 @lru_cache(maxsize=64)
 def _hermgauss(n: int):
-    return np.polynomial.hermite.hermgauss(int(n))
+    return _read_only(np.polynomial.hermite.hermgauss(int(n)))
 
 
 def graded_nodes(a: float, b: float, n: int, p: float, min_gap: float = 0.0):

@@ -169,7 +169,12 @@ def expm_stack(B, times) -> np.ndarray:
     """e^(u B) for a stack of scalars u, shape (len(times), N, N).
 
     Scaling-and-squaring on a truncated exponential series; relative error
-    is far below 1e-12 for the matrix sizes used here.
+    is far below 1e-12 for the matrix sizes used here.  One exponential is
+    computed per distinct time and gathered into fresh rows, so equal times
+    give equal but separately writable rows.  The squaring count depends on
+    the stack's largest |u|, so a row's bits depend on the stack it is in:
+    merging separately made calls into one stack can move bits in the last
+    place.
     """
     B = _as_square(B)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -178,6 +183,7 @@ def expm_stack(B, times) -> np.ndarray:
     N = B.shape[0]
     if times.size == 0:
         return np.zeros((0, N, N))
+    times, inverse = np.unique(times, return_inverse=True)
     bnorm = float(np.linalg.norm(B, 1))
     umax = float(np.abs(times).max())
     scale = bnorm * umax
@@ -197,7 +203,7 @@ def expm_stack(B, times) -> np.ndarray:
     E = np.einsum("mk,k,kij->mij", U, coeffs, P)
     for _ in range(m):
         E = E @ E
-    return E
+    return E[inverse]
 
 
 def matrix_exp(B, t: float) -> np.ndarray:

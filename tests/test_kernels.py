@@ -16,7 +16,13 @@ from kolkin import (
     reference_gaussian,
 )
 from kolkin.kernels import factor_covariance
-from kolkin.quadrature import gaussian_product, hermite_lattice, proposal_nodes
+from kolkin.quadrature import (
+    _hermgauss,
+    _leggauss,
+    gaussian_product,
+    hermite_lattice,
+    proposal_nodes,
+)
 
 
 def _mass(cf, S, t, x, s, nodes=24):
@@ -232,3 +238,17 @@ def test_stacked_proposal_helpers_equal_per_row_calls(N):
         assert np.array_equal(mk, m[k]) and np.array_equal(Pk, P[k])
         pk, wk = proposal_nodes(m[k], chol[k], 4)
         assert np.array_equal(pk, pts[k]) and np.array_equal(wk, w[k])
+
+
+@pytest.mark.parametrize("rule", [_leggauss, _hermgauss], ids=["legendre", "hermite"])
+def test_cached_gauss_rules_are_read_only(rule):
+    nodes, weights = rule(5)
+    kept = (nodes.copy(), weights.copy())
+    for a in (nodes, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+    again = rule(5)
+    assert again[0] is nodes and again[1] is weights
+    assert np.array_equal(nodes, kept[0]) and np.array_equal(weights, kept[1])

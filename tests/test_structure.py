@@ -156,6 +156,72 @@ def test_expm_stack_rejects_nonfinite():
         expm_stack(langevin(), [np.nan])
 
 
+def _expm_stack_every_row(B, times):
+    """Reference: the same scaling and squaring on every row, repeats included."""
+    B = np.asarray(B, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    N = B.shape[0]
+    if times.size == 0:
+        return np.zeros((0, N, N))
+    scale = float(np.linalg.norm(B, 1)) * float(np.abs(times).max())
+    m = 0
+    while scale > 0.5 and m < 60:
+        scale *= 0.5
+        m += 1
+    u = times / (2.0**m)
+    n_terms = 18
+    P = np.empty((n_terms, N, N))
+    P[0] = np.eye(N)
+    for k in range(1, n_terms):
+        P[k] = P[k - 1] @ B
+    coeffs = 1.0 / np.cumprod(np.concatenate([[1.0], np.arange(1, n_terms)]))
+    U = u[:, None] ** np.arange(n_terms)[None, :]
+    E = np.einsum("mk,k,kij->mij", U, coeffs, P)
+    for _ in range(m):
+        E = E @ E
+    return E
+
+
+def _repeated_stacks():
+    rng = np.random.default_rng(11)
+    pool = np.concatenate([rng.normal(scale=2.0, size=40), [0.0, -0.0, 1e-7, -3e-5]])
+    heavy = rng.choice(pool, size=5000)
+    yield heavy
+    # a negative time holds the largest |u|, twice, amid signed zeros
+    yield np.array([0.0, -0.0, -2.5, 0.3, 2.5, -2.5, 0.0, 0.3, -0.0])
+    yield np.array([0.7])
+    yield np.array([-0.0])
+    yield np.array([])
+    yield np.full(300, 0.125)
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        langevin(),
+        chain(3),
+        np.array([[-1.0, 0.0], [1.0, 0.0]]),
+        np.kron(np.eye(2, k=-1), np.eye(2)),
+    ],
+    ids=["kinetic", "chain3", "damped", "kinetic-d2"],
+)
+def test_expm_stack_equals_the_every_row_reference_bitwise(B):
+    for times in _repeated_stacks():
+        got = expm_stack(B, times)
+        want = _expm_stack_every_row(B, times)
+        assert got.shape == want.shape == (times.size,) + B.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("times", [[0.4, -1.0, 0.4, 0.4], [0.4, 0.4, 0.4]])
+def test_expm_stack_rows_with_equal_times_do_not_alias(times):
+    E = expm_stack(langevin(), times)
+    twin = E[2].copy()
+    E[0] += 1.0
+    assert np.array_equal(E[2], twin)
+    assert np.array_equal(E[-1], twin)
+
+
 # ----------------------------------------------------------------------
 # anisotropic norm, dilations, weighted lengths
 # ----------------------------------------------------------------------
