@@ -35,6 +35,7 @@ from .kernels import (
     _combine,
     _contract,
     _zero_eval,
+    factor_covariance,
     parametrix_stack,
     reference_covariance,
 )
@@ -106,7 +107,7 @@ class _PointAssembly:
         # terminal cloud and the Z-part of V_g
         mean_T = matrix_exp(S.B, T - t) @ x
         C_T = cf.mu * reference_covariance(S, T - t)[0]
-        y_pts, w_y = proposal_nodes(mean_T, np.linalg.cholesky(C_T), cfg.terminal_nodes)
+        y_pts, w_y = proposal_nodes(mean_T, factor_covariance(C_T).chol, cfg.terminal_nodes)
         self.V_Zg = _zero_eval(S.d, order)
         gv = None
         if pb.g is not None:

@@ -18,7 +18,7 @@ class HormanderViolation(StructuralError):
 
 
 class SingularCovariance(KolkinError, ValueError):
-    """Covariance matrix is numerically singular beyond the safeguard."""
+    """A covariance is non-finite, has a non-positive variance or no Cholesky factor."""
 
 
 class EmptyInterval(KolkinError, ValueError):

@@ -15,7 +15,8 @@ series (see levi.py) is driven by the first kernel returned by
 :func:`levi_first_kernel`.
 
 Everything is evaluated in log space and vectorized over stacks of points;
-the scalar entry points wrap stacks of size one.
+the scalar entry points wrap stacks of size one.  Every covariance is
+factored by :func:`factor_stack`, in its own diagonal scaling.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ from .coefficients import CoefficientField
 from .errors import EmptyInterval, InvalidScale, SingularCovariance
 from .quadrature import LOG_2PI, _leggauss
 from .structure import DriftStructure, expm_stack
-
-# Eigenvalue floor for covariance factorization, relative to the trace, and
-# the largest relative change the flooring may silently apply.
-FLOOR_SCALE = 1e-13
-FLOOR_REL_CHANGE = 1e-6
 
 DEFAULT_COV_NODES = 32
 
@@ -87,41 +83,35 @@ def _combine(parts, d: int, order: int) -> KernelEvaluation:
 
 
 def factor_stack(Cs: np.ndarray):
-    """Factor a stack of covariances with the positive-definiteness safeguard.
+    """Factor a stack of covariances in each matrix's own diagonal scaling.
 
-    Symmetrizes, floors eigenvalues at FLOOR_SCALE * trace, and raises
-    SingularCovariance if the flooring would move any eigenvalue by more
-    than FLOOR_REL_CHANGE relative.  Returns (chol, chol_inv, logdet).
+    With D = sqrt(diag C), L = D Ls for Ls the Cholesky factor of D^-1 C D^-1.
+    The intrinsic dilations give C(h) = D(sqrt h) C(1) D(sqrt h), so the
+    scaled matrix stays well conditioned at every time gap.  Nothing is
+    floored or perturbed: SingularCovariance names the first stack index that
+    is non-finite, has a non-positive variance or is not positive definite.
+    Returns (chol, chol_inv, logdet).
     """
     Cs = 0.5 * (Cs + np.swapaxes(Cs, -1, -2))
-    n = Cs.shape[-1]
-    tr = np.trace(Cs, axis1=-2, axis2=-1)
-    if np.any(~np.isfinite(tr)) or np.any(tr <= 0):
-        raise SingularCovariance("covariance has non-positive or non-finite trace")
-    floor = FLOOR_SCALE * tr
-    ev, V = np.linalg.eigh(Cs)
-    low = ev < floor[..., None]
-    if np.any(low):
-        rel = (floor[..., None] - ev) / np.maximum(np.abs(ev), 1e-300)
-        if np.any(rel[low] > FLOOR_REL_CHANGE):
-            idx = np.argwhere(low & (rel > FLOOR_REL_CHANGE))[0]
-            raise SingularCovariance(
-                f"covariance at stack index {tuple(idx[:-1])} is singular: "
-                f"eigenvalue {ev[tuple(idx)]:.3e} below floor "
-                f"{floor[tuple(idx[:-1])]:.3e}"
-            )
-        ev = np.maximum(ev, floor[..., None])
-        Cs = np.einsum("...ik,...k,...jk->...ij", V, ev, V)
-        Cs = 0.5 * (Cs + np.swapaxes(Cs, -1, -2))
+    diag = np.diagonal(Cs, axis1=-2, axis2=-1)
+    ok = np.all(np.isfinite(Cs), axis=(-2, -1)) & np.all(diag > 0, axis=-1)
+    D = np.sqrt(np.where(ok[..., None], diag, 1.0))  # unit scale for rejected matrices
+    scaled = Cs / (D[..., :, None] * D[..., None, :])
+    Ls = _cholesky(scaled) if ok.all() else None
+    if Ls is None:
+        idx = next(i for i in np.ndindex(ok.shape) if not ok[i] or _cholesky(scaled[i]) is None)
+        raise SingularCovariance(f"covariance at stack index {idx} is not positive definite")
+    logdet = 2.0 * np.sum(np.log(D) + np.log(np.diagonal(Ls, axis1=-2, axis2=-1)), axis=-1)
+    L_inv = np.linalg.solve(Ls, np.broadcast_to(np.eye(Cs.shape[-1]), Cs.shape)) / D[..., None, :]
+    return D[..., :, None] * Ls, L_inv, logdet
+
+
+def _cholesky(C):
+    """Lower Cholesky factor of a stack, or None if any matrix has none."""
     try:
-        L = np.linalg.cholesky(Cs)
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
-        jitter = (1e-15 * tr)[..., None, None] * np.eye(n)
-        L = np.linalg.cholesky(Cs + jitter)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    eye = np.broadcast_to(np.eye(n), Cs.shape).copy()
-    L_inv = np.linalg.solve(L, eye)
-    return L, L_inv, logdet
+        return None
 
 
 def factor_covariance(C: np.ndarray) -> CovarianceMatrix:

@@ -56,9 +56,8 @@ class LeviConfig:
     cov_nodes: quadrature nodes for each frozen covariance inside the
         lattice machinery (the public kernel API keeps its own default).
     min_gap: smallest time gap evaluated; graded nodes closer than this to
-        an interval endpoint are dropped.  The default keeps the smallest
-        kinetic covariance eigenvalue (~gap^3/12 for two blocks) two
-        orders above the positive-definiteness floor.
+        an interval endpoint are dropped, which leaves out an endpoint
+        contribution of order min_gap^beta (see quadrature.graded_nodes).
     """
 
     depth: int = 2
@@ -112,8 +111,7 @@ def _build_lattice(cf, S, cfg, t, x, s, y=None) -> _Lattice:
         C_b = cf.mu * reference_covariance(S, s - times)
         C_back = np.einsum("mik,mkl,mjl->mij", back, C_b, back)
         means, C = gaussian_product(means, C, back @ np.asarray(y, dtype=float), C_back)
-    chols = np.linalg.cholesky(0.5 * (C + np.swapaxes(C, -1, -2)))
-    points, w_z = proposal_nodes(means, chols, cfg.space_nodes)  # (n_t, n_z, N)
+    points, w_z = proposal_nodes(means, factor_stack(C)[0], cfg.space_nodes)  # (n_t, n_z, N)
     flat_t = np.repeat(times, points.shape[1])
     omega = (tw[:, None] * w_z).reshape(-1)
     return _Lattice(times, points, flat_t, points.reshape(-1, S.N), omega)
@@ -134,10 +132,9 @@ def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> n
     backT = expm_stack(S.B, lat.times - T)
     centers = np.einsum("tij,taj->tai", flowT, lat.points)  # (n_t, n_z, N)
     covs = cf.mu * reference_covariance(S, T - lat.times)
-    chols = np.linalg.cholesky(0.5 * (covs + covs.transpose(0, 2, 1)))
     # zero-mean clouds: the exact offsets y - centre, which _gauss_eval takes
     # directly (forming them by subtraction cancels at small gaps)
-    offs, w_eta = proposal_nodes(np.zeros((n_t, N)), chols, eta_nodes)
+    offs, w_eta = proposal_nodes(np.zeros((n_t, N)), factor_stack(covs)[0], eta_nodes)
     n_c = offs.shape[1]
     y = centers[:, :, None, :] + offs[:, None, :, :]  # (n_t, n_z, n_c, N)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from .coefficients import CoefficientField, make_coefficients
 from .errors import InvalidData, IoError, KolkinError
 from .holder import SamplerSpec, taylor_remainder_check
 from .kernels import (
+    factor_covariance,
     frozen_covariance,
     parametrix_stack,
     reference_covariance,
@@ -201,6 +203,13 @@ class SuiteConfig:
             raise InvalidData(f"unknown stages {sorted(unknown)}; expected {STAGES}")
         if not 0 < self.t_solve < self.T:
             raise InvalidData("solver probe time must lie inside (0, T)")
+        n = 2 * self.d if self.drift is None else math.isqrt(len(self.drift))
+        if self.drift is not None and (n * n != len(self.drift) or n < self.d):
+            raise InvalidData("bad value for key 'drift' in config section 'structure': "
+                              f"{len(self.drift)} entries are not n * n with n >= d = {self.d}")
+        if len(self.probe_box) != n:
+            raise InvalidData("bad value for key 'probe_box' in config section 'grids': "
+                              f"{len(self.probe_box)} rows, expected one per coordinate (N = {n})")
         try:
             self.sampler_spec()
         except TypeError as e:
@@ -210,9 +219,8 @@ class SuiteConfig:
     def drift_matrix(self) -> np.ndarray:
         if self.drift is None:
             return kinetic_drift(self.d)
-        B = np.asarray(self.drift, dtype=float)
-        n = int(round(np.sqrt(B.size)))
-        return B.reshape(n, n)
+        n = math.isqrt(len(self.drift))
+        return np.asarray(self.drift, dtype=float).reshape(n, n)
 
     def structure(self) -> DriftStructure:
         return block_structure(self.drift_matrix(), self.d)
@@ -404,7 +412,7 @@ def kernel_mass(cf, S, t: float, x, s: float, nodes: int = 24) -> float:
     """Integral of the frozen-coefficient kernel over its forward variable."""
     mean = matrix_exp(S.B, s - t) @ np.asarray(x, dtype=float)
     C = cf.mu * reference_covariance(S, [s - t])[0]
-    pts, w = proposal_nodes(mean, np.linalg.cholesky(C), nodes)
+    pts, w = proposal_nodes(mean, factor_covariance(C).chol, nodes)
     vals = parametrix_stack(
         cf, S, np.full(len(pts), t), np.tile(x, (len(pts), 1)), np.full(len(pts), s), pts
     )["value"]
@@ -425,7 +433,7 @@ def chapman_kolmogorov_error(cf, S, t: float, x, s: float, tau: float, y, nodes:
     m2 = back @ np.asarray(y, dtype=float)
     C2 = back @ frozen_covariance(cf, S, tau, np.asarray(y, dtype=float), s, tau).C @ back.T
     m, C = gaussian_product(m1, C1, m2, C2)
-    pts, w = proposal_nodes(m, np.linalg.cholesky(C), nodes)
+    pts, w = proposal_nodes(m, factor_covariance(C).chol, nodes)
     n = len(pts)
     z1 = parametrix_stack(cf, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), pts)
     z2 = parametrix_stack(cf, S, np.full(n, s), pts, np.full(n, tau), np.tile(y, (n, 1)))

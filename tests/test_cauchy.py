@@ -14,15 +14,19 @@ from kolkin import (
     LeviConfig,
     SdeConfig,
     SolverConfig,
+    block_structure,
     boundary_regY_check,
     feynman_kac_estimate,
+    make_coefficients,
     make_datum,
     make_source,
+    matrix_exp,
     residual_check,
     samples_to_csv,
     solve_cauchy,
     solve_point,
 )
+from kolkin.suites import kinetic_drift
 
 X0 = np.array([0.3, 0.1])
 CFG = SolverConfig()
@@ -89,6 +93,43 @@ def test_sine_datum_piecewise_coefficient(S2, cf_piecewise):
     u = solve_point(pb, CFG, 0.2, X0).u
     exact = np.sin(X0[0] + 0.37) * np.exp(-1.3 / 2.0)
     assert abs(u - exact) <= 1e-7
+
+
+def _flowed_sine(S, x, h, axis, variance):
+    # E sin(X_axis(T) + 0.37) for X(T) ~ N(e^(hB) x, C(h)), C(h)[axis, axis] = variance
+    return np.sin((matrix_exp(S.B, h) @ x)[axis] + 0.37) * np.exp(-variance / 2.0)
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["datum", "datum+source"])
+def test_chain3_closed_form(S3, cf_const, with_source):
+    # dX0 = dW, dX1 = X0 dt, dX2 = X1 dt: Var X2(T) = h^5/20, and the
+    # source f = y1 contributes -int_t^T E X1(r) dr = -(x1 h + x0 h^2/2).
+    t, x = 0.3, np.array([0.3, 0.1, -0.2])
+    h = 1.0 - t
+    f = make_source("coordinate", axis=1) if with_source else None
+    g = make_datum("sine", axis=2, phase=0.37)
+    pb = CauchyProblem(cf=cf_const, S=S3, T=1.0, g=g, f=f, alpha=0.5)
+    exact = _flowed_sine(S3, x, h, 2, h**5 / 20)
+    if with_source:
+        exact -= x[1] * h + x[0] * h**2 / 2
+    assert abs(solve_point(pb, CFG, t, x).u - exact) <= (1e-4 if with_source else 1e-6)
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["datum", "datum+source"])
+def test_two_dimensional_kinetic_closed_form(with_source):
+    # d = 2, a2 = I_2: position X2 = x2 + h x0 + int W0 has variance h^3/3,
+    # and the source f = y3 contributes -(x3 h + x1 h^2/2).
+    S = block_structure(kinetic_drift(2), d=2)
+    cf = make_coefficients("constant", d=2, sigma2=1.0)
+    t, x = 0.3, np.array([0.3, 0.1, -0.2, 0.4])
+    h = 1.0 - t
+    f = make_source("coordinate", axis=3) if with_source else None
+    g = make_datum("sine", axis=2, phase=0.37)
+    pb = CauchyProblem(cf=cf, S=S, T=1.0, g=g, f=f, alpha=0.5)
+    exact = _flowed_sine(S, x, h, 2, h**3 / 3)
+    if with_source:
+        exact -= x[3] * h + x[1] * h**2 / 2
+    assert abs(solve_point(pb, CFG, t, x).u - exact) <= (1e-4 if with_source else 1e-6)
 
 
 def test_solver_is_linear_in_the_datum(S2, cf_sin):

@@ -15,7 +15,7 @@ from kolkin import (
     reference_covariance,
     reference_gaussian,
 )
-from kolkin.kernels import factor_covariance
+from kolkin.kernels import factor_covariance, factor_stack
 from kolkin.quadrature import (
     _hermgauss,
     _leggauss,
@@ -86,8 +86,29 @@ def test_frozen_covariance_piecewise_vs_adaptive_quadrature(S2, cf_piecewise):
 
 
 def test_factor_covariance_rejects_indefinite():
-    with pytest.raises(SingularCovariance):
-        factor_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # indefinite, zero variance, NaN covariance: never a bare LinAlgError
+    for C in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(SingularCovariance):
+            factor_covariance(np.array(C))
+
+
+def test_factor_stack_names_the_failing_index():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((5, 3, 3))
+    Cs = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    Cs[3] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SingularCovariance, match=r"stack index \(3,\)"):
+        factor_stack(Cs)
+
+
+def test_chain3_covariance_factors_at_a_tiny_gap(S3, cf_const):
+    # condition number ~7e30 at gap 1e-7; the Jacobi-scaled residual stays at
+    # rounding level because C(h) = D(sqrt h) C(1) D(sqrt h)
+    s = 0.9
+    cov = frozen_covariance(cf_const, S3, s, np.zeros(3), s - 1e-7, s)
+    D = np.sqrt(np.diag(cov.C))
+    resid = (cov.chol @ cov.chol.T - cov.C) / np.outer(D, D)
+    assert np.max(np.abs(resid)) <= 1e-12
 
 
 def test_frozen_covariance_rejects_empty_interval(S2, cf_const):

@@ -191,6 +191,27 @@ def test_bad_sampler_value_is_rejected_at_load(tmp_path, capsys):
     assert "error:" in err and "modules.sampler" in err
 
 
+@pytest.mark.parametrize(
+    "drift, key, section, command",
+    [
+        ([0.0, 0.0, 1.0, 0.0, 0.0], "drift", "structure", "structure"),
+        # chain-3 drift (N = 3) with the default two-row probe box
+        ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0], "probe_box", "grids", "solve"),
+    ],
+    ids=["drift-not-square", "probe-box-rows"],
+)
+def test_config_shape_mismatch_is_rejected_at_load(tmp_path, capsys, drift, key, section, command):
+    cfg_path = tmp_path / "cfg.json"
+    obj = write_fast_config(cfg_path)
+    obj["structure"]["drift"] = drift
+    with pytest.raises(InvalidData, match=f"'{key}' in config section '{section}'"):
+        SuiteConfig.from_json(obj)
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["--config", str(cfg_path), command]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"'{key}'" in err and section in err
+
+
 def test_load_suite_config_errors(tmp_path):
     with pytest.raises(IoError):
         load_suite_config(tmp_path / "missing.json")
