@@ -102,8 +102,21 @@ def factor_stack(Cs: np.ndarray):
         idx = next(i for i in np.ndindex(ok.shape) if not ok[i] or _cholesky(scaled[i]) is None)
         raise SingularCovariance(f"covariance at stack index {idx} is not positive definite")
     logdet = 2.0 * np.sum(np.log(D) + np.log(np.diagonal(Ls, axis1=-2, axis2=-1)), axis=-1)
-    L_inv = np.linalg.solve(Ls, np.broadcast_to(np.eye(Cs.shape[-1]), Cs.shape)) / D[..., None, :]
+    L_inv = _tril_inverse(Ls) / D[..., None, :]
     return D[..., :, None] * Ls, L_inv, logdet
+
+
+def _tril_inverse(L):
+    """Inverse of a stack of lower-triangular matrices by forward substitution."""
+    n = L.shape[-1]
+    M = np.zeros_like(L)
+    for i in range(n):
+        row = np.zeros(L.shape[:-1])
+        row[..., i] = 1.0
+        for k in range(i):
+            row -= L[..., i, k, None] * M[..., k, :]
+        M[..., i, :] = row / L[..., i, i, None]
+    return M
 
 
 def _cholesky(C):

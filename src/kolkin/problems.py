@@ -165,7 +165,7 @@ def make_source(name: str, **params) -> Source:
     if name == "coordinate":
         _check_empty(name, p)
         return Source(
-            fn=lambda tau, y: y[:, axis],
+            fn=lambda tau, y: y[:, axis].copy(),
             alpha=alpha,
             name=name,
             params={"axis": axis},

@@ -15,6 +15,12 @@ Randomness is counter-based in fixed blocks of BLOCK paths: block b of seed
 s draws from the Philox stream keyed by (s, b), and reductions run in block
 order, so a path's draw depends on the seed and its index alone.
 Antithetic pairs (xi, -xi) fill the two halves of one block.
+
+simulate_paths also takes a stack of P start points (the probe axis).  All
+probes and all blocks advance as one state array, and each step's normals
+are drawn once and shared across the probes: path i of every probe sees the
+same noise, so probe p's paths equal those of a single-probe run from its
+start point, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,22 +71,43 @@ class McEstimate:
 
 @dataclass
 class PathBundle:
-    """Terminal states plus the path integrals needed by the representation."""
+    """Terminal states plus the path integrals needed by the representation.
 
-    terminal: np.ndarray  # (n, N)
-    log_weight: np.ndarray  # (n,) accumulated integral of a0
-    source_integral: np.ndarray  # (n,) accumulated weighted integral of f
+    A bundle simulated from a stack of start points leads every array with
+    the probe axis P.
+    """
+
+    terminal: np.ndarray  # ([P,] n, N)
+    log_weight: np.ndarray  # ([P,] n) accumulated integral of a0
+    source_integral: np.ndarray  # ([P,] n) accumulated weighted integral of f
+
+    def probe(self, p: int) -> "PathBundle":
+        """The paths of probe p of a stacked bundle."""
+        return PathBundle(self.terminal[p], self.log_weight[p], self.source_integral[p])
 
 
-def principal_sqrt_psd(mats: np.ndarray) -> np.ndarray:
-    """Principal square root of a stack of PSD matrices (negatives clipped)."""
+def principal_sqrt_psd(mats: np.ndarray, t) -> np.ndarray:
+    """Principal square root of a stack of PSD matrices sampled at times t.
+
+    t broadcasts against the stack's leading axes.  A negative (or NaN)
+    eigenvalue raises InvalidData naming the first offending time: a2 must be
+    uniformly elliptic, so nothing is clipped.
+    """
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 1:
-        return np.sqrt(np.maximum(mats, 0.0))
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    ev, V = np.linalg.eigh(sym)
-    root = np.sqrt(np.maximum(ev, 0.0))
-    return np.einsum("...ik,...k,...jk->...ij", V, root, V)
+        ev = mats[..., 0]
+    else:
+        ev, V = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    bad = ~np.all(ev >= 0.0, axis=-1)
+    if bad.any():
+        idx = tuple(np.argwhere(bad)[0])
+        t_bad = float(np.broadcast_to(np.asarray(t, dtype=float), bad.shape)[idx])
+        raise InvalidData(
+            f"a2 is not positive semi-definite at t = {t_bad}: eigenvalues {ev[idx]}"
+        )
+    if mats.shape[-1] == 1:
+        return np.sqrt(mats)
+    return np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(ev), V)
 
 
 def _block_sizes(n_paths: int, antithetic: bool) -> list:
@@ -99,30 +126,53 @@ def _normals(rng, m: int, dim: int, antithetic: bool) -> np.ndarray:
 
 
 def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
+    """Euler-Maruyama for the (P, N) start points x0 over the block
+    generators rng, advancing m = P * n state rows as one (P, n, N) array.
+
+    Each step draws every block's normals once, in block order, and adds
+    them to all P copies of the block.  Returns the terminal states and the
+    a0 and f path integrals with the probe axis leading.
+    """
+    P, N = x0.shape
+    n = m // P
+    sizes = _block_sizes(n, antithetic)
     d = S.d
     dt = (T - t0) / n_steps
     sdt = np.sqrt(dt)
-    X = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    times = t0 + np.arange(n_steps + 1) * dt
+    X = np.repeat(x0[:, None, :], n, axis=1)
+    rows = X.reshape(m, N)  # a view: callables see (m, N) rows
     Ia = np.zeros(m)
     If = np.zeros(m)
     Bt = S.B.T
+
+    def at(k):
+        return np.broadcast_to(times[k], (m,))
+
+    if not cf.space_dependent_a2:
+        # a2 depends on time alone: one root per step, shared by every row
+        sigs = principal_sqrt_psd(cf.a2(times[:-1], np.broadcast_to(x0[0], (n_steps, N))),
+                                  times[:-1])
     if f is not None:
-        fw = np.asarray(f(np.full(m, t0), X), dtype=float)
+        fw = np.array(f(at(0), rows), dtype=float)
     for k in range(n_steps):
-        tv = np.full(m, t0 + k * dt)
+        tv = at(k)
         if cf.a0 is not None:
-            Ia += np.asarray(cf.a0(tv, X), dtype=float) * dt
-        sig = principal_sqrt_psd(cf.a2(tv, X))
-        xi = _normals(rng, m, d, antithetic)
-        X = X + (X @ Bt) * dt
+            Ia += np.asarray(cf.a0(tv, rows), dtype=float) * dt
+        if cf.space_dependent_a2:
+            sig = principal_sqrt_psd(cf.a2(tv, rows), times[k]).reshape(P, n, d, d)
+        else:
+            sig = sigs[k]
+        xi = np.concatenate([_normals(r, b, d, antithetic) for r, b in zip(rng, sizes)])
+        rows += (rows @ Bt) * dt
         if cf.a1 is not None:
-            X[:, :d] += np.asarray(cf.a1(tv, X), dtype=float) * dt
-        X[:, :d] += sdt * np.einsum("mij,mj->mi", sig, xi)
+            rows[:, :d] += np.asarray(cf.a1(tv, rows), dtype=float) * dt
+        X[..., :d] += sdt * np.einsum("...ij,...j->...i", sig, xi)
         if f is not None:
-            fw_next = np.exp(Ia) * np.asarray(f(np.full(m, t0 + (k + 1) * dt), X), dtype=float)
+            fw_next = np.exp(Ia) * np.asarray(f(at(k + 1), rows), dtype=float)
             If += 0.5 * (fw + fw_next) * dt
             fw = fw_next
-    return X, Ia, If
+    return X, Ia.reshape(P, n), If.reshape(P, n)
 
 
 def simulate_paths(
@@ -136,29 +186,37 @@ def simulate_paths(
 ) -> PathBundle:
     """Simulate terminal states with the configured scheme.
 
-    Accumulates the a0 path integral (left-endpoint rule) and the weighted f
-    path integral (trapezoidal rule) when the coefficient field, respectively
-    the f argument, provides them.
+    x0 is one start point (N,) or a stack of them (P, N); a stack returns a
+    bundle with the probe axis leading, and probe p's paths equal a
+    single-probe call at x0[p] bit for bit.  Accumulates the a0 path
+    integral (left-endpoint rule) and the weighted f path integral
+    (trapezoidal rule) when the coefficient field, respectively the f
+    argument, provides them.
     """
     if not T > t0:
         raise InvalidData(f"need T > t0, got ({t0}, {T})")
-    exact = cfg.scheme == "exact-gaussian"
-    if exact:
+    x0 = np.asarray(x0, dtype=float)
+    starts = np.atleast_2d(x0)
+    sizes = _block_sizes(cfg.n_paths, cfg.antithetic)
+    rngs = [keyed_rng(cfg.seed, b) for b in range(len(sizes))]
+    if cfg.scheme == "exact-gaussian":
         if cf.constant_a2 is None or cf.a1 is not None or cf.a0 is not None:
             raise InvalidData("exact-gaussian sampling needs constant a2 with a1 = a0 = 0")
         if f is not None:
             raise InvalidData("exact-gaussian sampling cannot accumulate a source integral")
-        mean = matrix_exp(S.B, T - t0) @ np.asarray(x0, dtype=float)
+        flow = matrix_exp(S.B, T - t0)
         chol_t = frozen_covariance(cf, S, T, np.zeros(S.N), t0, T).chol.T
-    outs = []
-    for b, m in enumerate(_block_sizes(cfg.n_paths, cfg.antithetic)):
-        rng = keyed_rng(cfg.seed, b)
-        if exact:
-            X = mean + _normals(rng, m, S.N, cfg.antithetic) @ chol_t
-            outs.append((X, np.zeros(m), np.zeros(m)))
-        else:
-            outs.append(_em_chunk(cf, S, t0, x0, T, cfg.n_steps, m, rng, cfg.antithetic, f))
-    return PathBundle(*(np.concatenate(parts) for parts in zip(*outs)))
+        noise = np.concatenate(
+            [_normals(r, m, S.N, cfg.antithetic) @ chol_t for r, m in zip(rngs, sizes)]
+        )
+        X = np.stack([flow @ x + noise for x in starts])
+        zeros = np.zeros(X.shape[:2])
+        out = PathBundle(X, zeros, zeros.copy())
+    else:
+        m = starts.shape[0] * sum(sizes)
+        out = PathBundle(*_em_chunk(cf, S, t0, starts, T, cfg.n_steps, m, rngs,
+                                    cfg.antithetic, f))
+    return out.probe(0) if x0.ndim == 1 else out
 
 
 def feynman_kac_estimate(pb, cfg: SdeConfig, t0: float, x0) -> McEstimate:

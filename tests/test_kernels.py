@@ -101,6 +101,16 @@ def test_factor_stack_names_the_failing_index():
         factor_stack(Cs)
 
 
+@pytest.mark.parametrize("N", range(1, 7))
+def test_factor_stack_inverse_factor_matches_a_dense_inverse(N):
+    # forward substitution against LAPACK's general inverse as the reference
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((50, N, N))
+    chol, chol_inv, _ = factor_stack(A @ A.transpose(0, 2, 1) + np.eye(N))
+    np.testing.assert_allclose(chol_inv, np.linalg.inv(chol), rtol=1e-12, atol=1e-14)
+    assert np.all(np.triu(chol_inv, 1) == 0.0)
+
+
 def test_chain3_covariance_factors_at_a_tiny_gap(S3, cf_const):
     # condition number ~7e30 at gap 1e-7; the Jacobi-scaled residual stays at
     # rounding level because C(h) = D(sqrt h) C(1) D(sqrt h)

@@ -139,6 +139,14 @@ def test_source_values():
     assert make_source("sine")(t, y) == pytest.approx([np.sin(0.3), 0.0])
 
 
+def test_coordinate_source_value_is_not_a_view_of_the_state():
+    # the oracle advances its state in place after evaluating f
+    y = np.array([[0.3, -0.2], [0.0, 0.5]])
+    val = make_source("coordinate", axis=1)(np.array([0.5, 0.5]), y)
+    y += 1.0
+    np.testing.assert_array_equal(val, [-0.2, 0.5])
+
+
 def test_weighted_time_source_scaling():
     f = make_source("weighted-time", gamma=0.5, T=1.0)
     y = np.array([[0.3, 0.0]])

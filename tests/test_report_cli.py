@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from kolkin import (
@@ -22,6 +23,7 @@ from kolkin import (
     load_suite_config,
     named_suite,
     run_verification_suite,
+    solve_point,
 )
 from kolkin.cli import main
 
@@ -358,6 +360,33 @@ def test_cli_sde_simulates_the_paths_once(tmp_path, capsys, monkeypatch):
     cfg = load_suite_config(cfg_path)
     est = feynman_kac_estimate(cfg.problem(), cfg.sde, cfg.t_solve, cfg.probes()[0])
     assert f"estimate {est.mean:+.8f} +- {est.std_error:.2e}" in out
+
+
+def test_solver_stage_simulates_every_probe_in_one_call(tmp_path, monkeypatch):
+    import kolkin.suites
+
+    calls = []
+    simulate = kolkin.suites.simulate_paths
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[4]))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(kolkin.suites, "simulate_paths", counted)
+    cfg_path = tmp_path / "cfg.json"
+    write_fast_config(cfg_path, stages=["solver"])
+    cfg = load_suite_config(cfg_path)
+    report = run_verification_suite(cfg)
+    assert calls == [(3, 2)]
+    # the bundled oracle gives each probe the estimate it gets on its own
+    pb = cfg.problem()
+    worst = max(
+        abs(solve_point(pb, cfg.solver, cfg.t_solve, x).u - fk.mean) / max(fk.std_error, 1e-12)
+        for x in cfg.probes()
+        for fk in [feynman_kac_estimate(pb, cfg.sde, cfg.t_solve, x)]
+    )
+    rec = next(c for c in report.checks if c.name == "solver.oracle-agreement")
+    assert rec.value == worst
 
 
 def test_cli_holder_writes_norm_estimate(tmp_path, capsys):

@@ -14,6 +14,7 @@ from kolkin import (
     feynman_kac_estimate,
     make_coefficients,
     make_datum,
+    make_source,
     matrix_exp,
     parametrix,
     reference_covariance,
@@ -21,6 +22,9 @@ from kolkin import (
     terminal_to_csv,
 )
 from kolkin.kernels import factor_covariance
+from kolkin.sde import BLOCK, principal_sqrt_psd
+from kolkin.structure import block_structure
+from kolkin.suites import kinetic_drift
 
 X0 = np.array([0.3, 0.1])
 
@@ -112,8 +116,6 @@ def test_feynman_kac_matches_heat_closed_form(S2, cf_const):
 
 def test_constant_source_integral_exact(S2, cf_const):
     # trapezoidal accumulation of f = 1 gives exactly T - t0 on every path
-    from kolkin import make_source
-
     f = make_source("constant")
     b = simulate_paths(
         cf_const, S2, SdeConfig(n_paths=64, n_steps=7, seed=0), 0.2, X0, 1.0, f=f
@@ -128,8 +130,6 @@ def test_constant_source_integral_exact(S2, cf_const):
 def test_linear_source_integral_trapezoid_is_unbiased(S2, cf_const):
     # f = x2 is linear in both time and noise: the trapezoid rule integrates
     # its path mean exactly and antithetic pairing removes the randomness
-    from kolkin import make_source
-
     pb = CauchyProblem(
         cf=cf_const, S=S2, T=1.0, f=make_source("coordinate", axis=1), alpha=0.5
     )
@@ -194,6 +194,61 @@ def test_antithetic_reduces_standard_error(S2, cf_const):
 
 
 # ----------------------------------------------------------------------
+# probe bundles: one draw per step, shared by every start point
+# ----------------------------------------------------------------------
+
+PROBES = np.array([[0.3, 0.1], [-0.5, 0.2], [0.0, -0.4]])
+ODD_PATHS = 2 * BLOCK + 77  # odd, and the last block is short
+ANTITHETIC = pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+
+
+def _assert_bundle_equals_single_runs(cf, S, cfg, probes, t0=0.2, T=1.0, f=None):
+    bundle = simulate_paths(cf, S, cfg, t0, probes, T, f=f)
+    n = ODD_PATHS + cfg.antithetic
+    assert bundle.terminal.shape == (len(probes), n, S.N)
+    assert bundle.log_weight.shape == bundle.source_integral.shape == (len(probes), n)
+    for p, x in enumerate(probes):
+        one = simulate_paths(cf, S, cfg, t0, x, T, f=f)
+        got = bundle.probe(p)
+        assert np.array_equal(got.terminal, one.terminal)
+        assert np.array_equal(got.log_weight, one.log_weight)
+        assert np.array_equal(got.source_integral, one.source_integral)
+
+
+@ANTITHETIC
+def test_bundle_equals_single_runs_with_space_dependent_a2(S2, cf_sin, antithetic):
+    cfg = SdeConfig(n_paths=ODD_PATHS, n_steps=9, seed=5, antithetic=antithetic)
+    _assert_bundle_equals_single_runs(cf_sin, S2, cfg, PROBES)
+
+
+@ANTITHETIC
+@pytest.mark.parametrize("family", ["space-sinusoidal", "time-piecewise"])
+def test_bundle_equals_single_runs_with_lower_order_terms_and_source(S2, family, antithetic):
+    cf = make_coefficients(family, d=1, a1=0.3, a0=-0.2)
+    cfg = SdeConfig(n_paths=ODD_PATHS, n_steps=11, seed=2, antithetic=antithetic)
+    _assert_bundle_equals_single_runs(
+        cf, S2, cfg, PROBES, f=make_source("coordinate", axis=1)
+    )
+
+
+def test_bundle_equals_single_runs_for_two_dimensional_kinetic_drift():
+    # d = 2: the noise contracts a 2 x 2 root against each row's draw
+    S = block_structure(kinetic_drift(2), d=2)
+    cf = make_coefficients("space-sinusoidal", d=2, axis=2)
+    cfg = SdeConfig(n_paths=ODD_PATHS, n_steps=7, seed=4)
+    probes = np.array([[0.3, 0.1, -0.2, 0.4], [0.0, -0.5, 0.6, 0.1]])
+    _assert_bundle_equals_single_runs(cf, S, cfg, probes, f=make_source("sine", axis=3))
+
+
+@ANTITHETIC
+def test_bundle_equals_single_runs_exact_gaussian(S2, cf_const, antithetic):
+    cfg = SdeConfig(
+        n_paths=ODD_PATHS, n_steps=1, seed=7, scheme="exact-gaussian", antithetic=antithetic
+    )
+    _assert_bundle_equals_single_runs(cf_const, S2, cfg, PROBES)
+
+
+# ----------------------------------------------------------------------
 # scheme admissibility and validation
 # ----------------------------------------------------------------------
 
@@ -202,8 +257,6 @@ def test_exact_scheme_admissibility(S2, cf_sin, cf_const):
     cfg = SdeConfig(n_paths=100, n_steps=1, scheme="exact-gaussian")
     with pytest.raises(InvalidData):
         simulate_paths(cf_sin, S2, cfg, 0.0, X0, 1.0)  # state-dependent a2
-    from kolkin import make_source
-
     with pytest.raises(InvalidData):
         simulate_paths(cf_const, S2, cfg, 0.0, X0, 1.0, f=make_source("constant"))
     cf_a0 = dataclasses.replace(cf_const, a0=lambda t, x: np.ones(t.shape))
@@ -214,6 +267,27 @@ def test_exact_scheme_admissibility(S2, cf_sin, cf_const):
 def test_time_interval_validated(S2, cf_const):
     with pytest.raises(InvalidData):
         simulate_paths(cf_const, S2, SdeConfig(n_paths=10, n_steps=2), 1.0, X0, 1.0)
+
+
+def test_principal_sqrt_rejects_an_indefinite_stack():
+    mats = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
+    with pytest.raises(InvalidData, match="t = 0.7"):
+        principal_sqrt_psd(mats, np.array([0.2, 0.7, 0.9]))
+    with pytest.raises(InvalidData, match="t = 0.3"):
+        principal_sqrt_psd(-np.ones((2, 1, 1)), 0.3)
+
+
+@pytest.mark.parametrize("space_dependent", [False, True], ids=["time-only", "space"])
+def test_non_elliptic_field_fails_loudly(S2, cf_const, space_dependent):
+    # a2 turns negative from t = 0.5: the oracle names that time, nothing is clipped
+    def a2(t, x):
+        return np.where(np.asarray(t) < 0.5, 1.0, -1.0)[:, None, None]
+
+    cf = dataclasses.replace(
+        cf_const, a2=a2, constant_a2=None, space_dependent_a2=space_dependent, name="sign-flip"
+    )
+    with pytest.raises(InvalidData, match="t = 0.5"):
+        simulate_paths(cf, S2, SdeConfig(n_paths=64, n_steps=4, seed=0), 0.0, X0, 1.0)
 
 
 def test_config_validated():
