@@ -112,10 +112,8 @@ class _PointAssembly:
         gv = None
         if pb.g is not None:
             gv = _finite_or_raise(pb.g(y_pts), f"terminal datum '{pb.g.name}'")
-            n_y = y_pts.shape[0]
             zg = parametrix_stack(
-                cf, S, np.full(n_y, t), np.tile(x, (n_y, 1)),
-                np.full(n_y, T), y_pts, order=order, cov_nodes=cfg.levi.cov_nodes,
+                cf, S, t, x, T, y_pts[None], order=order, cov_nodes=cfg.levi.cov_nodes
             )
             self.V_Zg = _contract(zg, w_y * gv, order)
 
@@ -128,10 +126,8 @@ class _PointAssembly:
             return
         lat_cfg = cfg.lattice_config(pb.alpha)
         lat = _build_lattice(cf, S, lat_cfg, t, x, T)
-        n = lat.omega.size
         zx = parametrix_stack(
-            cf, S, np.full(n, t), np.tile(x, (n, 1)), lat.flat_t, lat.flat_x,
-            order=order, cov_nodes=lat_cfg.cov_nodes,
+            cf, S, t, x, lat.times, lat.points, order=order, cov_nodes=lat_cfg.cov_nodes
         )
         fv = None
         if pb.f is not None:

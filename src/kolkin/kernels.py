@@ -14,9 +14,17 @@ coefficients make Z the exact fundamental solution; otherwise a correction
 series (see levi.py) is driven by the first kernel returned by
 :func:`levi_first_kernel`.
 
-Everything is evaluated in log space and vectorized over stacks of points;
-the scalar entry points wrap stacks of size one.  Every covariance is
-factored by :func:`factor_stack`, in its own diagonal scaling.
+Everything is evaluated in log space on time groups.  The stack functions
+take times t, s (and tau) of shape (G,), scalars broadcasting, and points
+x, y (and v) of shape (G, ..., N): each group holds one pair of times and
+any number of points, whose point axes broadcast between x and y, and whose
+group axis may have size 1.  Flows are exponentiated and quadrature nodes
+placed once per group.  The covariance depends on the point only through a2
+along the flow, so when a2 does not depend on space each group has one
+covariance, carried with size-1 point axes that broadcast over its points.
+One pair per group -- t of shape (M,), x of shape (M, N) -- is the flat
+special case, and the scalar entry points wrap stacks of size one.  Every
+covariance is factored by :func:`factor_stack`, in its own diagonal scaling.
 """
 
 from __future__ import annotations
@@ -61,12 +69,15 @@ def _zero_eval(d: int, order: int) -> KernelEvaluation:
 
 
 def _contract(zx, weights, order: int) -> KernelEvaluation:
-    """Weighted sum of a batched kernel result (value and derivatives)."""
-    ev = KernelEvaluation(value=float(zx["value"] @ weights))
+    """Weighted sum of a batched kernel result (value and derivatives) over
+    its flattened points."""
+    n = weights.size
+    ev = KernelEvaluation(value=float(zx["value"].reshape(n) @ weights))
     if order >= 1:
-        ev.grad_d = zx["grad_d"].T @ weights
+        ev.grad_d = zx["grad_d"].reshape(n, -1).T @ weights
     if order >= 2:
-        ev.hess_d = np.einsum("mij,m->ij", zx["hess_d"], weights)
+        d = ev.grad_d.size
+        ev.hess_d = np.einsum("mij,m->ij", zx["hess_d"].reshape(n, d, d), weights)
     return ev
 
 
@@ -134,29 +145,41 @@ def factor_covariance(C: np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix(C=0.5 * (C + C.T), chol=L[0], logdet=float(logdet[0]))
 
 
-def _gauss_eval(L_inv, logdet, z, flow, d: int, order: int):
-    """Batched Gaussian value/derivatives.
+def _rows(a, shape, tail=()):
+    """a broadcast to shape + tail, laid out as flat rows of shape tail."""
+    return np.broadcast_to(a, shape + tail).reshape((-1,) + tail)
 
-    z is the centered argument y - e^((s-t)B) x, flow the stack of flow
-    matrices e^((s-t)B); derivatives are taken in the first d coordinates
+
+def _gauss_eval(L_inv, logdet, z, flow, d: int, order: int):
+    """Gaussian value/derivatives over broadcast leading axes.
+
+    z is the centered argument y - e^((s-t)B) x, flow the flow matrices
+    e^((s-t)B); z (..., N), L_inv (..., N, N), logdet (...) and flow
+    (..., N, N) broadcast against each other, and every output has their
+    common leading shape.  Derivatives are taken in the first d coordinates
     of x, so each d/dx_i inserts a factor <flow e_i, C^-1 z>.
     """
     N = z.shape[-1]
-    a = np.einsum("mij,mj->mi", L_inv, z)
+    shape = np.broadcast_shapes(z.shape[:-1], np.shape(logdet), L_inv.shape[:-2], flow.shape[:-2])
+    # L^-1 z on flat rows, formed once: an einsum over broadcast operands runs
+    # several times slower, and summing its columns one at a time changes the
+    # last bit for N >= 3 (einsum's contiguous reduction pairs its lanes)
+    a = np.einsum("mij,mj->mi", _rows(L_inv, shape, (N, N)), _rows(z, shape, (N,)))
+    a = a.reshape(shape + (N,))
     quad = np.sum(a * a, axis=-1)
     logval = -0.5 * (N * LOG_2PI + logdet + quad)
     val = np.exp(logval)
     out = {"value": val, "log_abs": logval}
     if order >= 1:
-        w2 = np.einsum("mji,mj->mi", L_inv, a)  # C^{-1} z
-        G = np.einsum("mji,mj->mi", flow, w2)[:, :d]
-        out["grad_d"] = val[:, None] * G
+        # products of broadcast operands run one column at a time, in
+        # einsum's order for these strided reductions
+        w2 = sum(L_inv[..., k, :] * a[..., k, None] for k in range(N))  # C^{-1} z
+        G = sum(flow[..., k, :d] * w2[..., k, None] for k in range(N))
+        out["grad_d"] = val[..., None] * G
         if order >= 2:
-            Wd = np.einsum("mij,mjk->mik", L_inv, flow[:, :, :d])
-            H0 = np.einsum("mki,mkj->mij", Wd, Wd)
-            out["hess_d"] = val[:, None, None] * (
-                G[:, :, None] * G[:, None, :] - H0
-            )
+            Wd = sum(L_inv[..., :, k, None] * flow[..., k, None, :d] for k in range(N))
+            H0 = np.einsum("...ki,...kj->...ij", Wd, Wd)
+            out["hess_d"] = val[..., None, None] * (G[..., :, None] * G[..., None, :] - H0)
     return out
 
 
@@ -179,6 +202,36 @@ def reference_covariance(S: DriftStructure, dt, nodes: int = DEFAULT_COV_NODES):
     return C
 
 
+def _groups(t, x, s, y, what: str):
+    """Grouped kernel arguments: t and s broadcast to (G,), and x and y get
+    a common number of axes by prepending size-1 ones.  x and y are made
+    contiguous: einsum's summation order, so the last bit, depends on the
+    memory layout."""
+    t, s = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    )
+    if np.any(s <= t):
+        raise EmptyInterval(f"{what} needs s > t")
+    x, y = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float)
+    nd = max(x.ndim, y.ndim, 2)
+    return t, x.reshape((1,) * (nd - x.ndim) + x.shape), s, y.reshape((1,) * (nd - y.ndim) + y.shape)
+
+
+def _per_group(a, ndim: int):
+    """A per-group stack (G, ...) with size-1 point axes, for arguments of
+    ndim axes (G, ..., N)."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - 2) + a.shape[1:])
+
+
+def _at(fn, t, x):
+    """A coefficient callable at the points x (G, ..., N) and times t, whose
+    axes lead x's; the callable takes flat rows, the result keeps x's axes."""
+    t = t.reshape(t.shape + (1,) * (x.ndim - 1 - t.ndim))
+    shape = np.broadcast_shapes(t.shape, x.shape[:-1])
+    out = fn(_rows(t, shape), _rows(x, shape, x.shape[-1:]))
+    return out.reshape(shape + out.shape[1:])
+
+
 def frozen_covariance_stack(
     cf: CoefficientField,
     S: DriftStructure,
@@ -188,18 +241,25 @@ def frozen_covariance_stack(
     s,
     nodes: int = DEFAULT_COV_NODES,
 ):
-    """Stack of frozen covariances C^(tau,v)(t, s).
+    """Frozen covariances C^(tau,v)(t, s) on time groups.
 
-    All arguments are stacks: tau, t, s of shape (M,), v of shape (M, N).
-    Panels align with the coefficient field's time breakpoints.
+    tau, t and s have shape (G,), scalars broadcasting; v has shape
+    (G, ..., N), its group axis possibly of size 1.  The flows are
+    exponentiated and the quadrature nodes placed once per group, and a2 is
+    evaluated along each point's flow: the result has shape (G, ..., N, N)
+    over v's point axes.  When a2 does not depend on space the covariance
+    depends on (t, s) alone, so each group gets one, with size-1 point axes
+    that broadcast.  Panels align with the coefficient field's time
+    breakpoints.
     """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    tau, t, s = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (tau, t, s))
+    )
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if np.any(s <= t):
         raise EmptyInterval("frozen covariance needs s > t for every stack entry")
-    M, N, d = t.size, S.N, S.d
+    G, N, d = t.size, S.N, S.d
+    ones = (1,) * (v.ndim - 2)
 
     lo_all = float(t.min())
     hi_all = float(s.max())
@@ -211,21 +271,26 @@ def frozen_covariance_stack(
     g = 0.5 * (xi + 1.0)
     gw = 0.5 * w
 
-    C = np.zeros((M, N, N))
+    C = 0.0
     for j in range(n_panels):
         lo = np.clip(edges[j], t, s)
         hi = np.clip(edges[j + 1], t, s)
-        length = hi - lo  # (M,), possibly zero
-        rho = lo[:, None] + length[:, None] * g[None, :]  # (M, q)
+        length = hi - lo  # (G,), possibly zero
+        rho = lo[:, None] + length[:, None] * g[None, :]  # (G, q)
         wq = length[:, None] * gw[None, :]
-        flat_rho = rho.reshape(-1)
-        back = expm_stack(S.B, (rho - tau[:, None]).reshape(-1))
-        pts = np.einsum("pij,pj->pi", back, np.repeat(v, per_panel, axis=0))
-        a2 = cf.a2(flat_rho, pts).reshape(M, per_panel, d, d)
         left = expm_stack(S.B, (s[:, None] - rho).reshape(-1))[:, :, :d].reshape(
-            M, per_panel, N, d
+            G, per_panel, N, d
         )
-        C += np.einsum("mq,mqik,mqkl,mqjl->mij", wq, left, a2, left)
+        if cf.space_dependent_a2:
+            back = expm_stack(S.B, (rho - tau[:, None]).reshape(-1))
+            back = back.reshape(G, per_panel, *ones, N, N)
+            # one column at a time: an einsum over these broadcast operands
+            # runs several times slower
+            pts = sum(back[..., k] * v[:, None, ..., None, k] for k in range(N))
+            a2 = _at(cf.a2, rho, pts)
+        else:
+            a2 = cf.a2(rho.reshape(-1), np.zeros((rho.size, N))).reshape(G, per_panel, *ones, d, d)
+        C = C + np.einsum("gq,gqik,gq...kl,gqjl->g...ij", wq, left, a2, left)
     return C
 
 
@@ -243,23 +308,31 @@ def frozen_covariance(
     return factor_covariance(C[0])
 
 
-def parametrix_stack(cf, S, t, x, s, y, order: int = 0, cov_nodes: int = DEFAULT_COV_NODES):
-    """Batched frozen-coefficient kernel Z(t, x; s, y) with derivatives.
-
-    Returns a dict with 'value', 'log_abs' and, per order, 'grad_d' (M, d)
-    and 'hess_d' (M, d, d); the hessian is symmetric by construction.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if np.any(s <= t):
-        raise EmptyInterval("parametrix needs s > t")
-    flow = expm_stack(S.B, s - t)
-    z = y - np.einsum("mij,mj->mi", flow, x)
-    C = frozen_covariance_stack(cf, S, s, y, t, s, nodes=cov_nodes)
+def _gauss_stack(S, C, t, x, s, y, order: int, z=None):
+    """The kernels' shared tail on grouped arguments: factor the covariances
+    C (G, ..., N, N), flow, offset and _gauss_eval.  z, when given, is the
+    exact offset y - e^((s-t)B) x (forming it by subtraction cancels at
+    small gaps)."""
     _, L_inv, logdet = factor_stack(C)
+    flow = _per_group(expm_stack(S.B, s - t), y.ndim)
+    if z is None:
+        z = y - np.einsum("...ij,...j->...i", flow, x)
     return _gauss_eval(L_inv, logdet, z, flow, S.d, order)
+
+
+def parametrix_stack(cf, S, t, x, s, y, order: int = 0, cov_nodes: int = DEFAULT_COV_NODES):
+    """Frozen-coefficient kernel Z(t, x; s, y) with derivatives, on time groups.
+
+    t and s have shape (G,), x and y shape (G, ..., N), as described in the
+    module docstring.  The covariance is frozen at (s, y): one per point of
+    y, or one per group when a2 does not depend on space.  Returns a dict
+    with 'value' and 'log_abs' over the broadcast shape (G, ...) of x and y
+    and, per order, 'grad_d' (G, ..., d) and 'hess_d' (G, ..., d, d); the
+    hessian is symmetric by construction.
+    """
+    t, x, s, y = _groups(t, x, s, y, "parametrix")
+    C = frozen_covariance_stack(cf, S, s, y, t, s, nodes=cov_nodes)
+    return _gauss_stack(S, C, t, x, s, y, order)
 
 
 def parametrix(cf, S, t: float, x, s: float, y, order: int = 0) -> KernelEvaluation:
@@ -273,20 +346,13 @@ def parametrix(cf, S, t: float, x, s: float, y, order: int = 0) -> KernelEvaluat
 
 
 def reference_gaussian_log_stack(delta: float, S: DriftStructure, t, x, s, y):
-    """Log of the scale-delta reference Gaussian, batched."""
+    """Log of the scale-delta reference Gaussian, on time groups (see
+    :func:`parametrix_stack`); its covariance depends on the group alone."""
     if not delta > 0:
         raise InvalidScale(f"scale delta must be positive, got {delta}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if np.any(s <= t):
-        raise EmptyInterval("reference Gaussian needs s > t")
-    flow = expm_stack(S.B, s - t)
-    z = y - np.einsum("mij,mj->mi", flow, x)
+    t, x, s, y = _groups(t, x, s, y, "reference Gaussian")
     C = delta * reference_covariance(S, s - t)
-    _, L_inv, logdet = factor_stack(C)
-    return _gauss_eval(L_inv, logdet, z, flow, S.d, 0)["log_abs"]
+    return _gauss_stack(S, _per_group(C, y.ndim), t, x, s, y, 0)["log_abs"]
 
 
 def reference_gaussian(delta: float, S: DriftStructure, t: float, x, s: float, y) -> float:
@@ -294,31 +360,30 @@ def reference_gaussian(delta: float, S: DriftStructure, t: float, x, s: float, y
     return float(np.exp(reference_gaussian_log_stack(delta, S, [t], [x], [s], [y])[0]))
 
 
-def _first_kernel(cf, out, t_src, x_src, a2_back) -> np.ndarray:
-    """First kernel from a _gauss_eval result of Z over source-target pairs:
+def _first_kernel(cf, S, t, x, s, y, cov_nodes: int, z=None) -> np.ndarray:
+    """First kernel on time groups (see :func:`levi_first_kernel_stack`);
+    z, when given, is the exact offset y - e^((s-t)B) x.
 
-        H = 1/2 (a2(src) - a2_back) : d^2 Z + a1(src) . grad Z + a0(src) Z.
-
-    t_src (source-shaped) and x_src (t_src.shape + (N,)) are evaluated once
-    per source point; a2_back holds a2 at the back-flowed targets, shaped
-    (target-shaped) + (d, d).  Both broadcast to the pair shape of out.
+    a2, a1 and a0 are evaluated once per point of x, and a2 once per point of
+    y at its back-flowed image; both broadcast to the pair shape.
     """
-    src_shape = np.shape(t_src)
-    d = a2_back.shape[-1]
-    shape = np.broadcast_shapes(src_shape, a2_back.shape[:-2])
-    src = (np.reshape(t_src, -1), np.reshape(x_src, (-1, np.shape(x_src)[-1])))
-    dA = cf.a2(*src).reshape(*src_shape, d, d) - a2_back
-    H = 0.5 * np.einsum("...ij,...ij->...", dA, out["hess_d"].reshape(*shape, d, d))
+    t, x, s, y = _groups(t, x, s, y, "first kernel")
+    C = frozen_covariance_stack(cf, S, s, y, t, s, nodes=cov_nodes)
+    out = _gauss_stack(S, C, t, x, s, y, 2, z)
+    back = _per_group(expm_stack(S.B, t - s), y.ndim)
+    dA = _at(cf.a2, t, x) - _at(cf.a2, t, np.einsum("...ij,...j->...i", back, y))
+    H = 0.5 * np.einsum("...ij,...ij->...", dA, out["hess_d"])
     if cf.a1 is not None:
-        a1 = cf.a1(*src).reshape(*src_shape, d)
-        H = H + np.einsum("...i,...i->...", a1, out["grad_d"].reshape(*shape, d))
+        H = H + np.einsum("...i,...i->...", _at(cf.a1, t, x), out["grad_d"])
     if cf.a0 is not None:
-        H = H + cf.a0(*src).reshape(src_shape) * out["value"].reshape(shape)
+        H = H + _at(cf.a0, t, x) * out["value"]
     return H
 
 
 def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODES):
-    """Batched first kernel of the correction series: (L Z)(t, x; s, y).
+    """First kernel of the correction series, (L Z)(t, x; s, y), on time
+    groups: t and s of shape (G,), x and y of shape (G, ..., N), as for
+    :func:`parametrix_stack`, whose covariance rule it shares.
 
     The frozen operator annihilates Z exactly, so applying the full operator
     leaves the coefficient increment against the hessian plus the
@@ -327,14 +392,7 @@ def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODE
         H = 1/2 sum_ij (a2_ij(t,x) - a2_ij(t, e^((t-s)B) y)) d_ij Z
             + sum_i a1_i(t,x) d_i Z + a0(t,x) Z.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    out = parametrix_stack(cf, S, t, x, s, y, order=2, cov_nodes=cov_nodes)
-    back = expm_stack(S.B, t - s)
-    a2_back = cf.a2(t, np.einsum("mij,mj->mi", back, y))
-    return _first_kernel(cf, out, t, x, a2_back)
+    return _first_kernel(cf, S, t, x, s, y, cov_nodes)
 
 
 def levi_first_kernel(cf, S, t: float, x, s: float, y) -> float:

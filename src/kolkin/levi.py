@@ -29,10 +29,8 @@ from .kernels import (
     _combine,
     _contract,
     _first_kernel,
-    _gauss_eval,
     _zero_eval,
     factor_stack,
-    frozen_covariance_stack,
     levi_first_kernel_stack,
     parametrix,
     parametrix_stack,
@@ -85,13 +83,21 @@ class LeviConfig:
 class _Lattice:
     times: np.ndarray  # (n_t,)
     points: np.ndarray  # (n_t, n_z, N)
-    flat_t: np.ndarray  # (n_nodes,)
-    flat_x: np.ndarray  # (n_nodes, N)
     omega: np.ndarray  # (n_nodes,) combined space-time weights
 
     @property
     def shape(self):
         return self.points.shape[:2]
+
+    @property
+    def flat_t(self):
+        """(n_nodes,) node times, for callables that take flat rows."""
+        return np.repeat(self.times, self.points.shape[1])
+
+    @property
+    def flat_x(self):
+        """(n_nodes, N) node points."""
+        return self.points.reshape(-1, self.points.shape[-1])
 
 
 def _build_lattice(cf, S, cfg, t, x, s, y=None) -> _Lattice:
@@ -112,9 +118,7 @@ def _build_lattice(cf, S, cfg, t, x, s, y=None) -> _Lattice:
         C_back = np.einsum("mik,mkl,mjl->mij", back, C_b, back)
         means, C = gaussian_product(means, C, back @ np.asarray(y, dtype=float), C_back)
     points, w_z = proposal_nodes(means, factor_stack(C)[0], cfg.space_nodes)  # (n_t, n_z, N)
-    flat_t = np.repeat(times, points.shape[1])
-    omega = (tw[:, None] * w_z).reshape(-1)
-    return _Lattice(times, points, flat_t, points.reshape(-1, S.N), omega)
+    return _Lattice(times, points, (tw[:, None] * w_z).reshape(-1))
 
 
 def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> np.ndarray:
@@ -127,34 +131,16 @@ def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> n
     Returns the flattened (n_nodes,) vector.
     """
     n_t, n_z = lat.shape
-    N, d = S.N, S.d
     flowT = expm_stack(S.B, T - lat.times)  # (n_t, N, N)
-    backT = expm_stack(S.B, lat.times - T)
     centers = np.einsum("tij,taj->tai", flowT, lat.points)  # (n_t, n_z, N)
     covs = cf.mu * reference_covariance(S, T - lat.times)
-    # zero-mean clouds: the exact offsets y - centre, which _gauss_eval takes
-    # directly (forming them by subtraction cancels at small gaps)
-    offs, w_eta = proposal_nodes(np.zeros((n_t, N)), factor_stack(covs)[0], eta_nodes)
-    n_c = offs.shape[1]
+    # zero-mean clouds: the exact offsets y - centre, which the first kernel
+    # takes directly (forming them by subtraction cancels at small gaps)
+    offs, w_eta = proposal_nodes(np.zeros((n_t, S.N)), factor_stack(covs)[0], eta_nodes)
     y = centers[:, :, None, :] + offs[:, None, :, :]  # (n_t, n_z, n_c, N)
-
-    M = n_t * n_z * n_c
-    shape = (n_t, n_z, n_c)
-    t_src = np.broadcast_to(lat.times[:, None, None], shape).reshape(-1)
-    y_flat = y.reshape(M, N)
-    Cs = frozen_covariance_stack(
-        cf, S, np.full(M, T), y_flat, t_src, np.full(M, T), nodes=cov_nodes
-    )
-    _, L_inv, logdet = factor_stack(Cs)
-    flow_flat = np.broadcast_to(flowT[:, None, None], shape + (N, N)).reshape(M, N, N)
-    zvec = np.broadcast_to(offs[:, None], shape + (N,)).reshape(M, N)
-    out = _gauss_eval(L_inv, logdet, zvec, flow_flat, d, order=2)
-
-    backed = np.einsum("tij,tacj->taci", backT, y)
-    a2_back = cf.a2(t_src, backed.reshape(M, N)).reshape(*shape, d, d)
-    t_rep = np.repeat(lat.times, n_z).reshape(n_t, n_z, 1)
-    H = _first_kernel(cf, out, t_rep, lat.points[:, :, None], a2_back)
-    gv = np.asarray(g_fn(y_flat), dtype=float).reshape(shape)
+    # one group per slice: its nodes (as sources) x their clouds (as targets)
+    H = _first_kernel(cf, S, lat.times, lat.points[:, :, None], T, y, cov_nodes, offs[:, None])
+    gv = np.asarray(g_fn(y.reshape(-1, S.N)), dtype=float).reshape(H.shape)
     return np.einsum("tc,tac->ta", w_eta, H * gv).reshape(n_t * n_z)
 
 
@@ -162,49 +148,20 @@ def _pair_tensor(cf, S, cfg, lat: _Lattice) -> np.ndarray:
     """Causal Nystrom matrix H[alpha, beta] = H(node_alpha; node_beta),
     zero unless node_beta sits strictly later in time.
 
-    Slice pairs (r_src < r_tgt) are batched; the expensive frozen
-    covariances are computed once per (pair, target point) rather than per
-    node pair.
+    Each slice pair (r_src < r_tgt) is one group of the first kernel, its
+    source points against its target points; the frozen covariances are
+    computed once per target point (once per pair when a2 does not depend
+    on space) rather than per node pair.
     """
     n_t, n_z = lat.shape
-    N, d = S.N, S.d
-    n = n_t * n_z
-    H = np.zeros((n, n))
-    if n_t < 2:
-        return H
-    ii, jj = np.triu_indices(n_t, k=1)
-    r_src, src, r_tgt, tgt = lat.times[ii], lat.points[ii], lat.times[jj], lat.points[jj]
-    P = ii.size
-
-    tau = np.repeat(r_tgt, n_z)
-    t_src = np.repeat(r_src, n_z)
-    Cs = frozen_covariance_stack(
-        cf, S, tau, tgt.reshape(-1, N), t_src, tau, nodes=cfg.cov_nodes
-    )
-    _, L_inv, logdet = factor_stack(Cs)
-    L_inv = L_inv.reshape(P, n_z, N, N)
-    logdet = logdet.reshape(P, n_z)
-
-    flow = expm_stack(S.B, r_tgt - r_src)  # (P, N, N)
-    back = expm_stack(S.B, r_src - r_tgt)
-    flowed = np.einsum("pij,paj->pai", flow, src)
-    z = tgt[:, None, :, :] - flowed[:, :, None, :]  # (P, a, b, N)
-
-    pairs = (P, n_z, n_z)
-    flat = P * n_z * n_z
-    L_inv_f = np.broadcast_to(L_inv[:, None], pairs + (N, N)).reshape(flat, N, N)
-    logdet_f = np.broadcast_to(logdet[:, None], pairs).reshape(flat)
-    flow_f = np.broadcast_to(flow[:, None, None], pairs + (N, N)).reshape(flat, N, N)
-    out = _gauss_eval(L_inv_f, logdet_f, z.reshape(flat, N), flow_f, d, order=2)
-
-    backed = np.einsum("pij,pbj->pbi", back, tgt)
-    a2_back = cf.a2(t_src, backed.reshape(-1, N)).reshape(P, 1, n_z, d, d)
-    t_at = np.broadcast_to(r_src[:, None, None], (P, n_z, 1))
-    vals = _first_kernel(cf, out, t_at, src[:, :, None], a2_back)
-    H4 = H.reshape(n_t, n_z, n_t, n_z)
-    H4[ii[:, None, None], np.arange(n_z)[None, :, None], jj[:, None, None],
-       np.arange(n_z)[None, None, :]] = vals
-    return H4.reshape(n, n)
+    H = np.zeros((n_t, n_z, n_t, n_z))
+    if n_t > 1:
+        ii, jj = np.triu_indices(n_t, k=1)
+        H[ii, :, jj, :] = levi_first_kernel_stack(
+            cf, S, lat.times[ii], lat.points[ii, :, None], lat.times[jj], lat.points[jj, None],
+            cov_nodes=cfg.cov_nodes,
+        )
+    return H.reshape(n_t * n_z, n_t * n_z)
 
 
 def _neumann_sums(pair, omega, w1, depth: int) -> list:
@@ -230,22 +187,17 @@ def _check_finite(arr, lat: _Lattice, what: str):
 def _phi_partials(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int) -> list:
     """Phi_1, ..., Phi_depth at one space-time pair, derivatives in x on the
     left Z factor of the convolution."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     lat = _build_lattice(cf, S, cfg, t, x, s, y=y)
-    n = lat.omega.size
     target = levi_first_kernel_stack(
-        cf, S, lat.flat_t, lat.flat_x, np.full(n, s), np.tile(y, (n, 1)),
-        cov_nodes=cfg.cov_nodes,
-    )
+        cf, S, lat.times, lat.points, s, y, cov_nodes=cfg.cov_nodes
+    ).reshape(-1)
     _check_finite(target, lat, "first kernel")
     pair = None
     if cfg.depth > 1:
         pair = _pair_tensor(cf, S, cfg, lat)
         _check_finite(pair, lat, "kernel pair tensor")
     zx = parametrix_stack(
-        cf, S, np.full(n, t), np.tile(x, (n, 1)), lat.flat_t, lat.flat_x,
-        order=order, cov_nodes=cfg.cov_nodes,
+        cf, S, t, x, lat.times, lat.points, order=order, cov_nodes=cfg.cov_nodes
     )
     return [
         _contract(zx, lat.omega * F, order)

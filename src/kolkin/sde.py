@@ -164,9 +164,11 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
         else:
             sig = sigs[k]
         xi = np.concatenate([_normals(r, b, d, antithetic) for r, b in zip(rng, sizes)])
+        if cf.a1 is not None:
+            a1_dt = np.asarray(cf.a1(tv, rows), dtype=float) * dt  # at the step's start
         rows += (rows @ Bt) * dt
         if cf.a1 is not None:
-            rows[:, :d] += np.asarray(cf.a1(tv, rows), dtype=float) * dt
+            rows[:, :d] += a1_dt
         X[..., :d] += sdt * np.einsum("...ij,...j->...i", sig, xi)
         if f is not None:
             fw_next = np.exp(Ia) * np.asarray(f(at(k + 1), rows), dtype=float)

@@ -413,9 +413,7 @@ def kernel_mass(cf, S, t: float, x, s: float, nodes: int = 24) -> float:
     mean = matrix_exp(S.B, s - t) @ np.asarray(x, dtype=float)
     C = cf.mu * reference_covariance(S, [s - t])[0]
     pts, w = proposal_nodes(mean, factor_covariance(C).chol, nodes)
-    vals = parametrix_stack(
-        cf, S, np.full(len(pts), t), np.tile(x, (len(pts), 1)), np.full(len(pts), s), pts
-    )["value"]
+    vals = parametrix_stack(cf, S, t, x, s, pts[None])["value"][0]
     return float(np.sum(w * vals))
 
 
@@ -434,10 +432,9 @@ def chapman_kolmogorov_error(cf, S, t: float, x, s: float, tau: float, y, nodes:
     C2 = back @ frozen_covariance(cf, S, tau, np.asarray(y, dtype=float), s, tau).C @ back.T
     m, C = gaussian_product(m1, C1, m2, C2)
     pts, w = proposal_nodes(m, factor_covariance(C).chol, nodes)
-    n = len(pts)
-    z1 = parametrix_stack(cf, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), pts)
-    z2 = parametrix_stack(cf, S, np.full(n, s), pts, np.full(n, tau), np.tile(y, (n, 1)))
-    log_composed = logsumexp(np.log(w) + z1["log_abs"] + z2["log_abs"])
+    z1 = parametrix_stack(cf, S, t, x, s, pts[None])["log_abs"][0]
+    z2 = parametrix_stack(cf, S, s, pts[None], tau, y)["log_abs"][0]
+    log_composed = logsumexp(np.log(w) + z1 + z2)
     log_direct = parametrix_stack(cf, S, [t], [x], [tau], [y])["log_abs"][0]
     return abs(float(np.expm1(log_composed - log_direct)))
 
@@ -462,15 +459,8 @@ def gaussian_bound_constants(cf, S, gaps, x, spec: SamplerSpec) -> np.ndarray:
             dilation(S, r * np.sqrt(gap), v / np.linalg.norm(v)) for r in radii for v in dirs
         ]
         ys = flow_x + np.asarray(offs)
-        n = len(ys)
-        ev = parametrix_stack(
-            cf, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), ys, order=2
-        )
-        ref = np.exp(
-            reference_gaussian_log_stack(
-                2.0 * cf.mu, S, np.full(n, t), np.tile(x, (n, 1)), np.full(n, s), ys
-            )
-        )
+        ev = {k: v[0] for k, v in parametrix_stack(cf, S, t, x, s, ys[None], order=2).items()}
+        ref = np.exp(reference_gaussian_log_stack(2.0 * cf.mu, S, t, x, s, ys[None])[0])
         out[0, gi] = np.max(np.abs(ev["value"]) / ref)
         out[1, gi] = np.max(
             np.max(np.abs(ev["grad_d"]), axis=(1,)) * np.sqrt(gap) / ref

@@ -132,6 +132,18 @@ def test_two_dimensional_kinetic_closed_form(with_source):
     assert abs(solve_point(pb, CFG, t, x).u - exact) <= (1e-4 if with_source else 1e-6)
 
 
+def test_langevin_phase_space_closed_form():
+    # the Langevin phase space R^3 x R^3 (N = 6), a2 = I_3: every terminal
+    # node shares one covariance, so 7^6 nodes fit; criterion 7's datum bound
+    S = block_structure(kinetic_drift(3), d=3)
+    cf = make_coefficients("constant", d=3, sigma2=1.0)
+    t, x = 0.3, np.array([0.3, 0.1, -0.2, 0.4, -0.1, 0.2])
+    h = 1.0 - t
+    pb = CauchyProblem(cf=cf, S=S, T=1.0, g=make_datum("sine", axis=4, phase=0.37), alpha=0.5)
+    exact = _flowed_sine(S, x, h, 4, h**3 / 3)
+    assert abs(solve_point(pb, SolverConfig(terminal_nodes=7), t, x).u - exact) <= 1e-6
+
+
 def test_solver_is_linear_in_the_datum(S2, cf_sin):
     pb_a = CauchyProblem(cf=cf_sin, S=S2, T=1.0, g=make_datum("sine", phase=0.37), alpha=0.3)
     pb_b = CauchyProblem(cf=cf_sin, S=S2, T=1.0, g=make_datum("linear", c=(0.0, 1.0)), alpha=0.3)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from kolkin import (
     EmptyInterval,
     SingularCovariance,
+    block_structure,
     frozen_covariance,
     levi_first_kernel,
     make_coefficients,
@@ -15,7 +16,7 @@ from kolkin import (
     reference_covariance,
     reference_gaussian,
 )
-from kolkin.kernels import factor_covariance, factor_stack
+from kolkin.kernels import factor_covariance, factor_stack, frozen_covariance_stack
 from kolkin.quadrature import (
     _hermgauss,
     _leggauss,
@@ -83,6 +84,31 @@ def test_frozen_covariance_piecewise_vs_adaptive_quadrature(S2, cf_piecewise):
     )
     got = frozen_covariance(cf_piecewise, S2, s, v, t, s).C
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+GROUP_DRIFTS = {
+    "kinetic": [[0.0, 0.0], [1.0, 0.0]],
+    "chain3": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "damped": [[-1.0, 0.0], [1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("drift", sorted(GROUP_DRIFTS))
+@pytest.mark.parametrize("field", ["sin", "piecewise", "const"])
+def test_grouped_covariances_equal_per_point_calls(drift, field, cf_sin, cf_piecewise, cf_const):
+    # two groups that both straddle the piecewise break at 0.5, with gaps in
+    # the same squaring range of expm_stack, so every row keeps its bits
+    S = block_structure(np.array(GROUP_DRIFTS[drift]), d=1)
+    cf = {"sin": cf_sin, "piecewise": cf_piecewise, "const": cf_const}[field]
+    t, s = np.array([0.1, 0.2]), np.array([0.8, 0.9])
+    v = np.random.default_rng(S.N).uniform(-1.0, 1.0, (2, 3, S.N))
+    C = frozen_covariance_stack(cf, S, s, v, t, s)
+    assert C.shape == (2, 3 if cf.space_dependent_a2 else 1, S.N, S.N)
+    C = 0.5 * (C + np.swapaxes(C, -1, -2))  # as frozen_covariance returns it
+    for g in range(2):
+        for k in range(3):
+            want = frozen_covariance(cf, S, s[g], v[g, k], t[g], s[g]).C
+            assert np.array_equal(C[g, min(k, C.shape[1] - 1)], want)
 
 
 def test_factor_covariance_rejects_indefinite():

@@ -148,6 +148,16 @@ def test_constant_weight_integral_exact(S2, cf_const):
     assert fk.mean == pytest.approx(np.exp(0.4), rel=1e-13)
 
 
+def test_first_order_term_sees_the_start_of_step_state(S2, cf_const):
+    # a1 = -x2 is read at X, like a0, a2 and the noise, not at X + B X dt:
+    # one antithetic step has mean x0 + B x0 dt + a1(x0) dt exactly
+    cf = dataclasses.replace(cf_const, a1=lambda t, x: -x[:, 1:2])
+    dt = 0.5
+    b = simulate_paths(cf, S2, SdeConfig(n_paths=64, n_steps=1, seed=0), 0.0, X0, dt)
+    want = X0 + S2.B @ X0 * dt + np.array([-X0[1], 0.0]) * dt
+    np.testing.assert_allclose(b.terminal.mean(axis=0), want, rtol=0, atol=1e-12)
+
+
 # ----------------------------------------------------------------------
 # reproducibility, path blocks, antithetics
 # ----------------------------------------------------------------------
