@@ -17,7 +17,6 @@ from .cauchy import (
     potential_source,
     residual_check,
     samples_to_csv,
-    solve_cauchy,
     solve_point,
 )
 from .coefficients import CoefficientField, ellipticity_check, make_coefficients
@@ -56,9 +55,9 @@ from .kernels import (
     reference_covariance,
     reference_gaussian,
 )
-from .levi import LeviConfig, fundamental_solution, phi_eval, phi_partial_sums
+from .levi import LeviConfig, fundamental_solution, phi_eval
 from .problems import CauchyProblem, Datum, Source, make_datum, make_source
-from .report import CheckRecord, VerificationReport, emit_report, load_report
+from .report import CheckRecord, VerificationReport, emit_report
 from .sde import (
     McEstimate,
     PathBundle,

@@ -1,18 +1,19 @@
 """Terminal-value solver via the Duhamel representation
 
-    u(t,x) = V_g(t,x) - V_{Z,f}(t,x) - V_{Phi,f}(t,x),
+    u(t,x) = int p(t,x;T,y) g(y) dy - int_t^T int p(t,x;r,z) f(r,z) dz dr
 
-where V_g integrates the fundamental solution p = Z + Phi against the
-terminal datum and the V-potentials integrate Z and the correction term
-against the source over (t,T) x R^N.
+with the fundamental solution p = Z + Phi, Phi = Z * F and F the correction
+series of the first kernel H.  By linearity every interior contribution is
+one density integrated against Z: u = int Z g + int int Z rho with
+rho = F*g - f - F*f.
 
-All potentials at one evaluation point share a single space-time lattice:
-graded time slices in (t,T) with per-slice Gauss-Hermite clouds following
-the forward tube from (t,x), plus one terminal cloud at T.  On that lattice
-the correction series reduces to powers of the causal first-kernel matrix,
-so the g- and f-parts of the correction reuse the same tensors.  Spatial
-derivatives always fall on the explicit kernel factor, never on finite
-differences of u.
+At one evaluation point rho lives on a single space-time lattice: graded
+time slices in (t,T) with per-slice Gauss-Hermite clouds following the
+forward tube from (t,x), plus one terminal cloud at T for the Z g term.  On
+that lattice the correction series reduces to powers of the causal
+first-kernel matrix, so the datum and the source share one Neumann sum.
+Spatial derivatives always fall on the explicit kernel factor, never on
+finite differences of u.
 """
 
 from __future__ import annotations
@@ -92,83 +93,70 @@ def _finite_or_raise(arr, what: str):
     return arr
 
 
-class _PointAssembly:
-    """All potentials of one problem at one evaluation point (t, x)."""
+def _represent(pb: CauchyProblem, cfg: SolverConfig, t: float, x, order: int) -> KernelEvaluation:
+    """u(t, x) = int Z(t,x;T,y) g(y) dy + int_t^T int Z(t,x;r,z) rho(r,z) dz dr.
 
-    def __init__(self, pb: CauchyProblem, cfg: SolverConfig, t: float, x, order: int):
-        cf, S, T = pb.cf, pb.S, pb.T
-        if not 0.0 < t < T:
-            raise EmptyInterval(f"evaluation time must lie in (0, {T}), got {t}")
-        x = np.asarray(x, dtype=float)
-        self.order = order
-        self.d = S.d
-        corrected = not cf.levi_trivial and cfg.levi.depth > 0
-
-        # terminal cloud and the Z-part of V_g
+    The lattice density rho = F*g - f - F*f collects the correction series
+    F = sum_k H^{*k} of both parts, so it takes one Neumann sum over the
+    causal first-kernel matrix P and one contraction of the left Z factor:
+    rho = sum_{k<depth} (P omega)^k (W_g - P(omega f)) - f, with W_g the
+    terminal datum smoothed once by H.  Absent g or f drop their terms.
+    """
+    cf, S, T = pb.cf, pb.S, pb.T
+    if not 0.0 < t < T:
+        raise EmptyInterval(f"evaluation time must lie in (0, {T}), got {t}")
+    x = np.asarray(x, dtype=float)
+    corrected = not cf.levi_trivial and cfg.levi.depth > 0
+    parts = []
+    if pb.g is not None:
         mean_T = matrix_exp(S.B, T - t) @ x
         C_T = cf.mu * reference_covariance(S, T - t)[0]
         y_pts, w_y = proposal_nodes(mean_T, factor_covariance(C_T).chol, cfg.terminal_nodes)
-        self.V_Zg = _zero_eval(S.d, order)
-        gv = None
-        if pb.g is not None:
-            gv = _finite_or_raise(pb.g(y_pts), f"terminal datum '{pb.g.name}'")
-            zg = parametrix_stack(
-                cf, S, t, x, T, y_pts[None], order=order, cov_nodes=cfg.levi.cov_nodes
-            )
-            self.V_Zg = _contract(zg, w_y * gv, order)
-
-        # interior lattice, shared by V_{Z,f} and both correction parts
-        need_lattice = pb.f is not None or (corrected and pb.g is not None)
-        self.V_Zf = _zero_eval(S.d, order)
-        self.V_Pg = _zero_eval(S.d, order)
-        self.V_Pf = _zero_eval(S.d, order)
-        if not need_lattice:
-            return
+        gv = _finite_or_raise(pb.g(y_pts), f"terminal datum '{pb.g.name}'")
+        zg = parametrix_stack(
+            cf, S, t, x, T, y_pts[None], order=order, cov_nodes=cfg.levi.cov_nodes
+        )
+        parts.append((1.0, _contract(zg, w_y * gv, order)))
+    if pb.f is not None or (corrected and pb.g is not None):
         lat_cfg = cfg.lattice_config(pb.alpha)
         lat = _build_lattice(cf, S, lat_cfg, t, x, T)
-        zx = parametrix_stack(
-            cf, S, t, x, lat.times, lat.points, order=order, cov_nodes=lat_cfg.cov_nodes
-        )
         fv = None
         if pb.f is not None:
             fv = _finite_or_raise(pb.f(lat.flat_t, lat.flat_x), f"source '{pb.f.name}'")
-            self.V_Zf = _contract(zx, lat.omega * fv, order)
-        if not corrected:
-            return
-        pair = _pair_tensor(cf, S, lat_cfg, lat)
-        depth = cfg.levi.depth
-        if pb.g is not None:
-            g_fn = lambda y: _finite_or_raise(pb.g(y), f"terminal datum '{pb.g.name}'")
-            w1 = terminal_smoothing(
-                cf, S, lat_cfg.cov_nodes, cfg.smoothing_nodes, lat, T, g_fn
-            )
-            G = _neumann_sums(pair, lat.omega, w1, depth)[-1]
-            self.V_Pg = _contract(zx, lat.omega * G, order)
-        if pb.f is not None:
-            s1 = pair @ (lat.omega * fv)
-            G = _neumann_sums(pair, lat.omega, s1, depth)[-1]
-            self.V_Pf = _contract(zx, lat.omega * G, order)
-
-    def solution(self) -> KernelEvaluation:
-        return _combine(
-            [(1.0, self.V_Zg), (1.0, self.V_Pg), (-1.0, self.V_Zf), (-1.0, self.V_Pf)],
-            self.d,
-            self.order,
+        rho = 0.0
+        if corrected:
+            pair = _pair_tensor(cf, S, lat_cfg, lat)
+            w1 = 0.0
+            if pb.g is not None:
+                g_fn = lambda y: _finite_or_raise(pb.g(y), f"terminal datum '{pb.g.name}'")
+                w1 = terminal_smoothing(
+                    cf, S, lat_cfg.cov_nodes, cfg.smoothing_nodes, lat, T, g_fn
+                )
+            if fv is not None:
+                w1 = w1 - pair @ (lat.omega * fv)
+            rho = _neumann_sums(pair, lat.omega, w1, cfg.levi.depth)
+        if fv is not None:
+            rho = rho - fv
+        zx = parametrix_stack(
+            cf, S, t, x, lat.times, lat.points, order=order, cov_nodes=lat_cfg.cov_nodes
         )
+        parts.append((1.0, _contract(zx, lat.omega * rho, order)))
+    return _combine(parts, S.d, order)
 
 
 def potential_source(
     pb: CauchyProblem, cfg: SolverConfig, t: float, x, order: int = 0
 ) -> KernelEvaluation:
-    """V_{p,f}(t,x) = int_t^T int p(t,x;tau,y) f(tau,y) dy dtau, p = Z + Phi."""
-    asm = _PointAssembly(pb, cfg, t, x, order)
-    return _combine([(1.0, asm.V_Zf), (1.0, asm.V_Pf)], asm.d, asm.order)
+    """V_{p,f}(t,x) = int_t^T int p(t,x;tau,y) f(tau,y) dy dtau, p = Z + Phi.
+
+    With g = 0 the solution is u = -V_{p,f}.
+    """
+    return _combine([(-1.0, _represent(replace(pb, g=None), cfg, t, x, order))], pb.S.d, order)
 
 
 def solve_point(pb: CauchyProblem, cfg: SolverConfig, t: float, x) -> SolutionSample:
     """Solution record u, grad, hess and Yu = f - A u at a single point."""
-    asm = _PointAssembly(pb, cfg, t, x, order=2)
-    ev = asm.solution()
+    ev = _represent(pb, cfg, t, x, order=2)
     x = np.asarray(x, dtype=float)
     bad = not np.isfinite(ev.value) or not np.all(np.isfinite(ev.grad_d)) or not np.all(
         np.isfinite(ev.hess_d)
@@ -198,11 +186,6 @@ def _apply_elliptic(pb: CauchyProblem, t, x, ev: KernelEvaluation) -> float:
     return val
 
 
-def solve_cauchy(pb: CauchyProblem, cfg: SolverConfig, points: Iterable) -> list:
-    """Evaluate the Duhamel representation at each (t, x) point."""
-    return [solve_point(pb, cfg, t, x) for t, x in points]
-
-
 def residual_check(pb: CauchyProblem, cfg: SolverConfig, points: Iterable) -> np.ndarray:
     """Flow-differenced equation residual at each point.
 
@@ -218,7 +201,7 @@ def residual_check(pb: CauchyProblem, cfg: SolverConfig, points: Iterable) -> np
             raise EmptyInterval(f"probe time {t + dt} reaches the horizon {pb.T}")
         sample = solve_point(pb, cfg, t, x)
         x_flow = matrix_exp(pb.S.B, dt) @ x
-        u_next = _PointAssembly(pb, cfg, t + dt, x_flow, order=0).solution().value
+        u_next = _represent(pb, cfg, t + dt, x_flow, order=0).value
         fval = float(pb.f([t], [x])[0]) if pb.f is not None else 0.0
         Au = fval - sample.Yu
         res.append((u_next - sample.u) / dt + Au - fval)
@@ -258,7 +241,7 @@ def boundary_regY_check(
     for t in t_grid:
         flow = matrix_exp(pb.S.B, pb.T - t)
         diffs = [
-            _PointAssembly(pb, cfg, t, flow @ x, order=0).solution().value - g
+            _represent(pb, cfg, t, flow @ x, order=0).value - g
             for x, g in zip(xs, g_ref)
         ]
         sups.append(np.max(np.abs(diffs)))

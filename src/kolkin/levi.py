@@ -12,8 +12,8 @@ each carrying an importance-weighted Gauss-Hermite cloud drawn from a
 Gaussian proposal that tracks where the integrand mass lives (the product
 of the two flow-pinned reference Gaussians for a pointwise evaluation, or
 the forward tube alone when the terminal end is spread out).  On the
-lattice, H-composition is a causal Nystrom matrix, so all partial sums cost
-one kernel-pair tensor.
+lattice, H-composition is a causal Nystrom matrix, so the K-term sum costs
+one kernel-pair tensor and K - 1 matrix-vector products.
 """
 
 from __future__ import annotations
@@ -164,15 +164,13 @@ def _pair_tensor(cf, S, cfg, lat: _Lattice) -> np.ndarray:
     return H.reshape(n_t * n_z, n_t * n_z)
 
 
-def _neumann_sums(pair, omega, w1, depth: int) -> list:
-    """Partial sums sum_{k<j} (causal Nystrom power k) applied to w1,
-    for j = 1..depth."""
-    sums = [w1]
-    term = w1
+def _neumann_sums(pair, omega, w1, depth: int) -> np.ndarray:
+    """sum_{k<depth} (causal Nystrom power k) applied to w1."""
+    total = term = w1
     for _ in range(depth - 1):
         term = pair @ (omega * term)
-        sums.append(sums[-1] + term)
-    return sums
+        total = total + term
+    return total
 
 
 def _check_finite(arr, lat: _Lattice, what: str):
@@ -184,9 +182,14 @@ def _check_finite(arr, lat: _Lattice, what: str):
         raise NumericalDivergence(f"non-finite {what} on the lattice", point=point)
 
 
-def _phi_partials(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int) -> list:
-    """Phi_1, ..., Phi_depth at one space-time pair, derivatives in x on the
-    left Z factor of the convolution."""
+def phi_eval(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int = 0) -> KernelEvaluation:
+    """Correction term Phi_K(t, x; s, y), optionally with derivatives in x.
+
+    Derivatives are taken by differentiating the left Z factor inside the
+    convolution.
+    """
+    if cfg.depth == 0 or cf.levi_trivial:
+        return _zero_eval(S.d, order)
     lat = _build_lattice(cf, S, cfg, t, x, s, y=y)
     target = levi_first_kernel_stack(
         cf, S, lat.times, lat.points, s, y, cov_nodes=cfg.cov_nodes
@@ -199,32 +202,15 @@ def _phi_partials(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int) 
     zx = parametrix_stack(
         cf, S, t, x, lat.times, lat.points, order=order, cov_nodes=cfg.cov_nodes
     )
-    return [
-        _contract(zx, lat.omega * F, order)
-        for F in _neumann_sums(pair, lat.omega, target, cfg.depth)
-    ]
-
-
-def phi_partial_sums(cf, S, cfg: LeviConfig, t: float, x, s: float, y) -> np.ndarray:
-    """Partial sums Phi_1, ..., Phi_depth at a single space-time pair."""
-    if cfg.depth == 0 or cf.levi_trivial:
-        return np.zeros(cfg.depth)
-    return np.array([ev.value for ev in _phi_partials(cf, S, cfg, t, x, s, y, 0)])
-
-
-def phi_eval(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int = 0) -> KernelEvaluation:
-    """Correction term Phi_K(t, x; s, y), optionally with derivatives in x.
-
-    Derivatives are taken by differentiating the left Z factor inside the
-    convolution.
-    """
-    if cfg.depth == 0 or cf.levi_trivial:
-        return _zero_eval(S.d, order)
-    return _phi_partials(cf, S, cfg, t, x, s, y, order)[-1]
+    return _contract(zx, lat.omega * _neumann_sums(pair, lat.omega, target, cfg.depth), order)
 
 
 def fundamental_solution(cf, S, cfg: LeviConfig, t: float, x, s: float, y, order: int = 0) -> KernelEvaluation:
-    """p = Z + Phi_K with matching derivative orders."""
+    """p = Z + Phi_K with matching derivative orders.
+
+    Public API only: the solver never evaluates p pointwise, it integrates
+    Z against the lattice density of cauchy._represent instead.
+    """
     base = parametrix(cf, S, t, x, s, y, order=order)
     corr = phi_eval(cf, S, cfg, t, x, s, y, order=order)
     return _combine([(1.0, base), (1.0, corr)], S.d, order)

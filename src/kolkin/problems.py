@@ -10,7 +10,7 @@ declared smoothness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ class Datum:
     name: str = "datum"
     grad_d_fn: Optional[Callable] = None
     hess_d_fn: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, y):
         return np.asarray(self.fn(np.atleast_2d(np.asarray(y, dtype=float))))
@@ -53,7 +52,6 @@ class Source:
     gamma: float = 0.0
     alpha: float = 0.5
     name: str = "source"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -87,7 +85,6 @@ def make_datum(name: str, **params) -> Datum:
             grad_d_fn=None,
             beta=2.0,
             name=name,
-            params={"value": c},
         )
     if name == "linear":
         cvec = p.pop("c", None)
@@ -101,7 +98,6 @@ def make_datum(name: str, **params) -> Datum:
             grad_d_fn=None,  # depends on d; solver uses kernel derivatives anyway
             beta=beta,
             name=name,
-            params={"c": c.tolist(), "beta": beta},
         )
     if name == "abs":
         _check_empty(name, p)
@@ -109,7 +105,6 @@ def make_datum(name: str, **params) -> Datum:
             fn=lambda y: np.abs(y[:, axis]),
             beta=1.0,
             name=name,
-            params={"axis": axis},
         )
     if name == "kink-power":
         beta = float(p.pop("beta", 1.0))
@@ -120,14 +115,13 @@ def make_datum(name: str, **params) -> Datum:
             fn = lambda y: np.abs(np.sin(y[:, axis])) ** beta
         else:
             fn = lambda y: np.sign(np.sin(y[:, axis])) * np.abs(np.sin(y[:, axis])) ** beta
-        return Datum(fn=fn, beta=beta, name=name, params={"beta": beta, "axis": axis})
+        return Datum(fn=fn, beta=beta, name=name)
     if name == "signed-square":
         _check_empty(name, p)
         return Datum(
             fn=lambda y: 0.5 * y[:, axis] * np.abs(y[:, axis]),
             beta=2.0,
             name=name,
-            params={"axis": axis},
         )
     if name == "sine":
         amp = float(p.pop("amplitude", 1.0))
@@ -137,7 +131,6 @@ def make_datum(name: str, **params) -> Datum:
             fn=lambda y: amp * np.sin(y[:, axis] + phase),
             beta=2.0,
             name=name,
-            params={"amplitude": amp, "axis": axis, "phase": phase},
         )
     raise InvalidData(f"unknown datum family '{name}'")
 
@@ -160,7 +153,6 @@ def make_source(name: str, **params) -> Source:
             fn=lambda tau, y: np.full(tau.size, c),
             alpha=alpha,
             name=name,
-            params={"value": c},
         )
     if name == "coordinate":
         _check_empty(name, p)
@@ -168,7 +160,6 @@ def make_source(name: str, **params) -> Source:
             fn=lambda tau, y: y[:, axis].copy(),
             alpha=alpha,
             name=name,
-            params={"axis": axis},
         )
     if name == "sine":
         amp = float(p.pop("amplitude", 1.0))
@@ -177,7 +168,6 @@ def make_source(name: str, **params) -> Source:
             fn=lambda tau, y: amp * np.sin(y[:, axis]),
             alpha=alpha,
             name=name,
-            params={"amplitude": amp, "axis": axis},
         )
     if name == "weighted-time":
         gamma = float(p.pop("gamma", 0.5))
@@ -191,7 +181,6 @@ def make_source(name: str, **params) -> Source:
             gamma=gamma,
             alpha=alpha,
             name=name,
-            params={"gamma": gamma, "T": T, "axis": axis},
         )
     raise InvalidData(f"unknown source family '{name}'")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidData, IoError
+from .errors import IoError
 
 CSV_COLUMNS = ("name", "stage", "value", "target", "tolerance", "passed", "note")
 
@@ -63,19 +63,6 @@ class CheckRecord:
             "details": _jsonable(self.details),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CheckRecord":
-        return cls(
-            name=obj["name"],
-            stage=obj["stage"],
-            passed=bool(obj["passed"]),
-            value=obj.get("value"),
-            target=obj.get("target"),
-            tolerance=obj.get("tolerance"),
-            note=obj.get("note", ""),
-            details=obj.get("details", {}),
-        )
-
 
 @dataclass
 class VerificationReport:
@@ -103,12 +90,6 @@ class VerificationReport:
             "checks": [c.to_json() for c in self.checks],
             "overall_pass": self.overall_pass,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VerificationReport":
-        rep = cls(suite=obj["suite"], seed=int(obj["seed"]), config=obj.get("config", {}))
-        rep.checks = [CheckRecord.from_json(c) for c in obj.get("checks", [])]
-        return rep
 
 
 def report_json_text(report: VerificationReport) -> str:
@@ -159,11 +140,11 @@ def report_markdown_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: VerificationReport, out_dir, formats=("json", "csv", "markdown")) -> dict:
+def emit_report(report: VerificationReport, out_dir) -> dict:
     """Write report.json / tables.csv / report.md under out_dir.
 
-    Returns {format: path}. JSON is byte-deterministic for identical
-    suite outcomes.
+    Returns {format: path} for the formats json, csv and markdown. JSON is
+    byte-deterministic for identical suite outcomes.
     """
     out = Path(out_dir)
     try:
@@ -176,10 +157,7 @@ def emit_report(report: VerificationReport, out_dir, formats=("json", "csv", "ma
         "markdown": ("report.md", report_markdown_text),
     }
     paths = {}
-    for f in formats:
-        if f not in renders:
-            raise InvalidData(f"unknown report format {f!r}; expected one of {sorted(renders)}")
-        fname, render = renders[f]
+    for f, (fname, render) in renders.items():
         p = out / fname
         try:
             p.write_text(render(report))
@@ -187,12 +165,3 @@ def emit_report(report: VerificationReport, out_dir, formats=("json", "csv", "ma
             raise IoError(f"cannot write {p}: {e}") from e
         paths[f] = p
     return paths
-
-
-def load_report(path) -> VerificationReport:
-    p = Path(path)
-    try:
-        obj = json.loads(p.read_text())
-    except OSError as e:
-        raise IoError(f"cannot read {p}: {e}") from e
-    return VerificationReport.from_json(obj)

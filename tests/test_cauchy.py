@@ -21,11 +21,20 @@ from kolkin import (
     make_datum,
     make_source,
     matrix_exp,
+    potential_source,
     residual_check,
     samples_to_csv,
-    solve_cauchy,
     solve_point,
 )
+from kolkin.kernels import (
+    _combine,
+    _contract,
+    factor_covariance,
+    parametrix_stack,
+    reference_covariance,
+)
+from kolkin.levi import _build_lattice, _pair_tensor, terminal_smoothing
+from kolkin.quadrature import proposal_nodes
 from kolkin.suites import kinetic_drift
 
 X0 = np.array([0.3, 0.1])
@@ -151,13 +160,98 @@ def test_solver_is_linear_in_the_datum(S2, cf_sin):
         fn=lambda y: np.sin(y[:, 0] + 0.37) + 2.0 * y[:, 1],
         beta=2.0,
         name="combo",
-        params={},
     )
     pb_c = CauchyProblem(cf=cf_sin, S=S2, T=1.0, g=combo, alpha=0.3)
     u_a = solve_point(pb_a, CFG, 0.3, X0).u
     u_b = solve_point(pb_b, CFG, 0.3, X0).u
     u_c = solve_point(pb_c, CFG, 0.3, X0).u
     assert abs(u_c - (u_a + 2.0 * u_b)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The source half of the correction series
+# ---------------------------------------------------------------------------
+
+
+def _three_part_assembly(pb, cfg, t, x):
+    """u = V_Zg + V_Pg - V_Zf - V_Pf with each potential contracted on its
+    own: the datum and the source each run their own correction series."""
+    cf, S, T = pb.cf, pb.S, pb.T
+    depth = cfg.levi.depth
+    C_T = cf.mu * reference_covariance(S, T - t)[0]
+    y_pts, w_y = proposal_nodes(
+        matrix_exp(S.B, T - t) @ x, factor_covariance(C_T).chol, cfg.terminal_nodes
+    )
+    zg = parametrix_stack(cf, S, t, x, T, y_pts[None], order=2, cov_nodes=cfg.levi.cov_nodes)
+    lat_cfg = cfg.lattice_config(pb.alpha)
+    lat = _build_lattice(cf, S, lat_cfg, t, x, T)
+    zx = parametrix_stack(
+        cf, S, t, x, lat.times, lat.points, order=2, cov_nodes=lat_cfg.cov_nodes
+    )
+    pair = _pair_tensor(cf, S, lat_cfg, lat)
+
+    def series(w1):
+        total = term = w1
+        for _ in range(depth - 1):
+            term = pair @ (lat.omega * term)
+            total = total + term
+        return total
+
+    fv = pb.f(lat.flat_t, lat.flat_x)
+    w_g = terminal_smoothing(cf, S, lat_cfg.cov_nodes, cfg.smoothing_nodes, lat, T, pb.g)
+    parts = [
+        (1.0, _contract(zg, w_y * pb.g(y_pts), 2)),
+        (1.0, _contract(zx, lat.omega * series(w_g), 2)),
+        (-1.0, _contract(zx, lat.omega * fv, 2)),
+        (-1.0, _contract(zx, lat.omega * series(pair @ (lat.omega * fv)), 2)),
+    ]
+    return _combine(parts, S.d, 2)
+
+
+def _corrected_source_problems(S2, cf_sin):
+    cf_lower = make_coefficients("constant", a1=[0.3], a0=0.2)
+    g = make_datum("sine", phase=0.37)
+    f = make_source("coordinate", axis=1)
+    return [
+        CauchyProblem(cf=cf_sin, S=S2, T=1.0, g=g, f=f, alpha=0.3),
+        CauchyProblem(cf=cf_lower, S=S2, T=1.0, g=g, f=f, alpha=0.5),
+    ]
+
+
+SOURCE_POINTS = [(t, x) for t in (0.3, 0.9) for x in (X0, np.array([-0.2, 0.4]))]
+
+
+def _assert_close(got, want, rel):
+    # |got - want| <= rel * max(1, |want|), entry by entry
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+def test_one_density_matches_the_three_part_assembly(S2, cf_sin):
+    # Both a correction series and a source: a space-dependent a2, and a
+    # constant a2 with lower-order terms.  One Neumann sum of W_g - P(omega f)
+    # against separate series for the datum and the source moves roundoff only.
+    for pb in _corrected_source_problems(S2, cf_sin):
+        assert not pb.cf.levi_trivial
+        for t, x in SOURCE_POINTS:
+            s = solve_point(pb, CFG, t, x)
+            ref = _three_part_assembly(pb, CFG, t, x)
+            _assert_close(s.u, ref.value, 1e-12)
+            _assert_close(s.grad_d, ref.grad_d, 1e-12)
+            _assert_close(s.hess_d, ref.hess_d, 1e-12)
+
+
+def test_solution_is_datum_part_minus_source_potential(S2, cf_sin):
+    # u(g, f) = u(g, 0) - V_{p,f}: the source enters the Duhamel formula linearly
+    for pb in _corrected_source_problems(S2, cf_sin):
+        datum_only = CauchyProblem(cf=pb.cf, S=pb.S, T=pb.T, g=pb.g, alpha=pb.alpha)
+        for t, x in SOURCE_POINTS:
+            s = solve_point(pb, CFG, t, x)
+            s_g = solve_point(datum_only, CFG, t, x)
+            v_f = potential_source(pb, CFG, t, x, order=2)
+            _assert_close(s.u, s_g.u - v_f.value, 1e-12)
+            _assert_close(s.grad_d, s_g.grad_d - v_f.grad_d, 1e-12)
+            _assert_close(s.hess_d, s_g.hess_d - v_f.hess_d, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +339,9 @@ def test_boundary_fit_degenerates_for_preserved_datum(S2, cf_const):
 # ---------------------------------------------------------------------------
 
 
-def test_solve_cauchy_batches_points(S2, cf_const):
-    pb = CauchyProblem(cf=cf_const, S=S2, T=1.0, g=make_datum("sine", phase=0.37), alpha=0.5)
-    pts = [(0.3, X0), (0.6, np.array([-0.2, 0.4]))]
-    samples = solve_cauchy(pb, CFG, pts)
-    assert len(samples) == 2
-    for (t, x), s in zip(pts, samples):
-        assert s.t == t
-        assert np.array_equal(s.x, np.asarray(x))
-        single = solve_point(pb, CFG, t, np.asarray(x))
-        assert s.u == single.u
-
-
 def test_samples_to_csv_layout(tmp_path, S2, cf_const):
     pb = CauchyProblem(cf=cf_const, S=S2, T=1.0, g=make_datum("sine", phase=0.37), alpha=0.5)
-    samples = solve_cauchy(pb, CFG, [(0.3, X0), (0.6, np.array([-0.2, 0.4]))])
+    samples = [solve_point(pb, CFG, t, x) for t, x in [(0.3, X0), (0.6, np.array([-0.2, 0.4]))]]
     path = tmp_path / "samples.csv"
     samples_to_csv(samples, path)
     with open(path, newline="") as fh:

@@ -12,7 +12,6 @@ from kolkin import (
     matrix_exp,
     parametrix,
     phi_eval,
-    phi_partial_sums,
     reference_covariance,
 )
 from kolkin.kernels import (
@@ -71,13 +70,12 @@ def test_depth1_term_against_independent_composition(S2, cf_sin):
     # frozen from the oracle below; both quadratures agree to ~4e-4 relative
     oracle = independent_depth1(cf_sin, S2, T0, X0, S0, Y0)
     assert oracle == pytest.approx(-0.03533656362347814, rel=1e-12)
-    ps = phi_partial_sums(cf_sin, S2, LeviConfig(), T0, X0, S0, Y0)
-    assert ps[0] == pytest.approx(oracle, rel=2e-3)
+    phi_1 = phi_eval(cf_sin, S2, LeviConfig(depth=1), T0, X0, S0, Y0).value
+    assert phi_1 == pytest.approx(oracle, rel=2e-3)
 
 
 def test_partial_sums_stabilize(S2, cf_sin):
-    ps = phi_partial_sums(cf_sin, S2, LeviConfig(), T0, X0, S0, Y0)
-    assert len(ps) == 2
+    ps = [phi_eval(cf_sin, S2, LeviConfig(depth=k), T0, X0, S0, Y0).value for k in (1, 2)]
     np.testing.assert_allclose(
         ps, [-0.03532233, -0.03527333], rtol=0, atol=5e-7
     )

@@ -19,7 +19,6 @@ from kolkin import (
     VerificationReport,
     emit_report,
     feynman_kac_estimate,
-    load_report,
     load_suite_config,
     named_suite,
     run_verification_suite,
@@ -75,17 +74,6 @@ def test_overall_requires_every_check():
     assert rep.overall_pass is True
 
 
-def test_report_json_round_trip(tmp_path):
-    rep = small_report()
-    paths = emit_report(rep, tmp_path)
-    back = load_report(paths["json"])
-    assert back.suite == rep.suite and back.seed == rep.seed
-    assert back.config == rep.config
-    assert len(back.checks) == 2
-    for a, b in zip(rep.checks, back.checks):
-        assert a.to_json() == b.to_json()
-
-
 def test_emitted_files_and_csv_shape(tmp_path):
     rep = small_report()
     paths = emit_report(rep, tmp_path)
@@ -98,16 +86,6 @@ def test_emitted_files_and_csv_shape(tmp_path):
     assert rows[0][0] == "name"
     md = paths["markdown"].read_text()
     assert "FAIL" in md and "alpha.check" in md
-
-
-def test_emit_rejects_unknown_format(tmp_path):
-    with pytest.raises(InvalidData):
-        emit_report(small_report(), tmp_path, formats=("yaml",))
-
-
-def test_load_report_missing_file(tmp_path):
-    with pytest.raises(IoError):
-        load_report(tmp_path / "nope.json")
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +258,9 @@ def test_cli_verify_emits_reports_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     for fname in ("report.json", "tables.csv", "report.md"):
         assert (out_dir / fname).exists()
-    rep = load_report(out_dir / "report.json")
-    assert rep.overall_pass is True
-    assert {c.stage for c in rep.checks} == {"structure", "kernel", "solver"}
+    rep = json.loads((out_dir / "report.json").read_text())
+    assert rep["overall_pass"] is True
+    assert {c["stage"] for c in rep["checks"]} == {"structure", "kernel", "solver"}
 
 
 def test_cli_verify_fails_with_nonzero_exit(tmp_path, capsys):
@@ -311,7 +289,7 @@ def test_cli_seed_override_changes_the_report_seed(tmp_path, capsys):
     write_fast_config(cfg_path, out_dir=out_dir, stages=["structure"])
     assert main(["--config", str(cfg_path), "--out", str(out_dir), "--seed", "11", "verify"]) == 0
     capsys.readouterr()
-    assert load_report(out_dir / "report.json").seed == 11
+    assert json.loads((out_dir / "report.json").read_text())["seed"] == 11
 
 
 def test_cli_solve_writes_samples(tmp_path, capsys):
