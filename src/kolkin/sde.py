@@ -21,6 +21,11 @@ probes and all blocks advance as one state array, and each step's normals
 are drawn once and shared across the probes: path i of every probe sees the
 same noise, so probe p's paths equal those of a single-probe run from its
 start point, bit for bit.
+
+The state is held as N contiguous columns of shape (P, n).  The drift step
+adds (X_j * B_ij) * dt for each nonzero entry B_ij of B, with every
+increment read from the start-of-step state; for one nonzero per row this
+is bit for bit the dense product (X @ B^T) * dt.
 """
 
 from __future__ import annotations
@@ -127,11 +132,15 @@ def _normals(rng, m: int, dim: int, antithetic: bool) -> np.ndarray:
 
 def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
     """Euler-Maruyama for the (P, N) start points x0 over the block
-    generators rng, advancing m = P * n state rows as one (P, n, N) array.
+    generators rng, advancing m = P * n paths as one (N, P, n) array of
+    contiguous coordinate columns.
 
     Each step draws every block's normals once, in block order, and adds
-    them to all P copies of the block.  Returns the terminal states and the
-    a0 and f path integrals with the probe axis leading.
+    them to all P copies of the block.  The drift adds (X_j * B_ij) * dt for
+    each of S.drift_terms, all read from the start-of-step state before any
+    is added.  a0, a1, a2 and f see the state as an (m, N) view.  Returns
+    the (P, n, N) terminal states and the a0 and f path integrals with the
+    probe axis leading.
     """
     P, N = x0.shape
     n = m // P
@@ -140,11 +149,11 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
     dt = (T - t0) / n_steps
     sdt = np.sqrt(dt)
     times = t0 + np.arange(n_steps + 1) * dt
-    X = np.repeat(x0[:, None, :], n, axis=1)
-    rows = X.reshape(m, N)  # a view: callables see (m, N) rows
+    X = np.repeat(x0.T[:, :, None], n, axis=2)
+    rows = X.reshape(N, m).T  # a view: callables see (m, N) rows
     Ia = np.zeros(m)
     If = np.zeros(m)
-    Bt = S.B.T
+    terms = S.drift_terms
 
     def at(k):
         return np.broadcast_to(times[k], (m,))
@@ -166,15 +175,24 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
         xi = np.concatenate([_normals(r, b, d, antithetic) for r, b in zip(rng, sizes)])
         if cf.a1 is not None:
             a1_dt = np.asarray(cf.a1(tv, rows), dtype=float) * dt  # at the step's start
-        rows += (rows @ Bt) * dt
+        # X_j * 1.0 is X_j exactly, so unit entries skip the product
+        drift = [(i, (X[j] if b == 1.0 else X[j] * b) * dt) for i, j, b in terms]
+        for i, inc in drift:
+            X[i] += inc
         if cf.a1 is not None:
             rows[:, :d] += a1_dt
-        X[..., :d] += sdt * np.einsum("...ij,...j->...i", sig, xi)
+        noise = sig[..., 0] * xi if d == 1 else np.einsum("...ij,...j->...i", sig, xi)
+        X[:d] += sdt * np.moveaxis(noise, -1, 0).reshape(d, -1, n)
         if f is not None:
-            fw_next = np.exp(Ia) * np.asarray(f(at(k + 1), rows), dtype=float)
-            If += 0.5 * (fw + fw_next) * dt
+            fw_next = np.array(f(at(k + 1), rows), dtype=float)  # a copy: summed into in place
+            if cf.a0 is not None:
+                fw_next *= np.exp(Ia)
+            fw += fw_next
+            fw *= 0.5
+            fw *= dt
+            If += fw
             fw = fw_next
-    return X, Ia.reshape(P, n), If.reshape(P, n)
+    return np.ascontiguousarray(X.transpose(1, 2, 0)), Ia.reshape(P, n), If.reshape(P, n)
 
 
 def simulate_paths(

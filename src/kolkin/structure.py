@@ -111,6 +111,11 @@ class DriftStructure:
         """Homogeneous dimension: sum over blocks of (2j+1) d_j."""
         return int(sum((2 * j + 1) * b for j, b in enumerate(self.blocks)))
 
+    @property
+    def drift_terms(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, B_ij) for every nonzero entry of B, in row-major order."""
+        return tuple((int(i), int(j), float(self.B[i, j])) for i, j in zip(*np.nonzero(self.B)))
+
 
 def block_structure(B, d: int) -> DriftStructure:
     """Extract and validate the canonical block decomposition of B.

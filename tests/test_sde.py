@@ -22,7 +22,8 @@ from kolkin import (
     terminal_to_csv,
 )
 from kolkin.kernels import factor_covariance
-from kolkin.sde import BLOCK, principal_sqrt_psd
+from kolkin.quadrature import keyed_rng
+from kolkin.sde import BLOCK, _block_sizes, _normals, principal_sqrt_psd
 from kolkin.structure import block_structure
 from kolkin.suites import kinetic_drift
 
@@ -38,13 +39,22 @@ def _square_datum():
 # ----------------------------------------------------------------------
 
 
-def test_em_linear_statistics_exact(S2, cf_const):
-    # the state recursion is exact for the nilpotent drift, and antithetic
-    # pairing zeroes every noise-linear average, so first moments are exact
+def test_em_linear_statistics_exact(S2, S3, cf_const):
+    # antithetic pairing zeroes every noise-linear average, so the mean
+    # follows the drift recursion (I + B dt)^n x0 exactly; that equals
+    # e^B x0 for the kinetic drift only, so on chain-3 and the damped drift
+    # a step that read an already-updated coordinate would miss it by O(dt)
     cfg = SdeConfig(n_paths=2000, n_steps=16, seed=0)
     b = simulate_paths(cf_const, S2, cfg, 0.0, X0, 1.0)
     m = b.terminal.mean(axis=0)
     np.testing.assert_allclose(m, matrix_exp(S2.B, 1.0) @ X0, atol=1e-13)
+    damped = block_structure(np.array([[-1.0, 0.0], [1.0, 0.0]]), d=1)
+    for S, x0 in ((S3, np.array([0.3, 0.1, -0.2])), (damped, X0)):
+        step = np.eye(S.N) + S.B / cfg.n_steps
+        want = np.linalg.matrix_power(step, cfg.n_steps) @ x0
+        assert np.abs(want - matrix_exp(S.B, 1.0) @ x0).max() > 1e-3
+        m = simulate_paths(cf_const, S, cfg, 0.0, x0, 1.0).terminal.mean(axis=0)
+        np.testing.assert_allclose(m, want, rtol=0, atol=1e-13)
 
 
 def test_exact_scheme_matches_reference_gaussian(S2, cf_const):
@@ -256,6 +266,115 @@ def test_bundle_equals_single_runs_exact_gaussian(S2, cf_const, antithetic):
         n_paths=ODD_PATHS, n_steps=1, seed=7, scheme="exact-gaussian", antithetic=antithetic
     )
     _assert_bundle_equals_single_runs(cf_const, S2, cfg, PROBES)
+
+
+# ----------------------------------------------------------------------
+# the drift step against the dense product it replaces
+# ----------------------------------------------------------------------
+
+
+def _dense_em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
+    """The Euler-Maruyama loop in (P, n, N) row layout with the dense drift
+    product rows @ B^T, an unconditional exp(I_a0) and the noise einsum."""
+    P, N = x0.shape
+    n = m // P
+    sizes = _block_sizes(n, antithetic)
+    d = S.d
+    dt = (T - t0) / n_steps
+    sdt = np.sqrt(dt)
+    times = t0 + np.arange(n_steps + 1) * dt
+    X = np.repeat(x0[:, None, :], n, axis=1)
+    rows = X.reshape(m, N)
+    Ia = np.zeros(m)
+    If = np.zeros(m)
+    Bt = S.B.T
+
+    def at(k):
+        return np.broadcast_to(times[k], (m,))
+
+    if not cf.space_dependent_a2:
+        sigs = principal_sqrt_psd(cf.a2(times[:-1], np.broadcast_to(x0[0], (n_steps, N))),
+                                  times[:-1])
+    if f is not None:
+        fw = np.array(f(at(0), rows), dtype=float)
+    for k in range(n_steps):
+        tv = at(k)
+        if cf.a0 is not None:
+            Ia += np.asarray(cf.a0(tv, rows), dtype=float) * dt
+        if cf.space_dependent_a2:
+            sig = principal_sqrt_psd(cf.a2(tv, rows), times[k]).reshape(P, n, d, d)
+        else:
+            sig = sigs[k]
+        xi = np.concatenate([_normals(r, b, d, antithetic) for r, b in zip(rng, sizes)])
+        if cf.a1 is not None:
+            a1_dt = np.asarray(cf.a1(tv, rows), dtype=float) * dt
+        rows += (rows @ Bt) * dt
+        if cf.a1 is not None:
+            rows[:, :d] += a1_dt
+        X[..., :d] += sdt * np.einsum("...ij,...j->...i", sig, xi)
+        if f is not None:
+            fw_next = np.exp(Ia) * np.asarray(f(at(k + 1), rows), dtype=float)
+            If += 0.5 * (fw + fw_next) * dt
+            fw = fw_next
+    return X, Ia.reshape(P, n), If.reshape(P, n)
+
+
+def _dense_reference(cf, S, cfg, probes, t0=0.2, T=1.0, f=None):
+    sizes = _block_sizes(cfg.n_paths, cfg.antithetic)
+    rngs = [keyed_rng(cfg.seed, b) for b in range(len(sizes))]
+    return _dense_em_chunk(cf, S, t0, probes, T, cfg.n_steps, len(probes) * sum(sizes),
+                           rngs, cfg.antithetic, f)
+
+
+PROBES3 = np.array([[0.3, 0.1, -0.2], [-0.5, 0.2, 0.4]])
+PROBES4 = np.array([[0.3, 0.1, -0.2, 0.4], [0.0, -0.5, 0.6, 0.1]])
+KINETIC = ((0.0, 0.0), (1.0, 0.0))
+DAMPED = ((-1.0, 0.0), (1.0, 0.0))
+DENSE_CASES = {
+    # name: (family, coefficient parameters, drift, d, probes, source)
+    "constant": ("constant", {}, KINETIC, 1, PROBES, None),
+    "piecewise-source": ("time-piecewise", {}, KINETIC, 1, PROBES, ("coordinate", {"axis": 1})),
+    "sinusoidal": ("space-sinusoidal", {}, KINETIC, 1, PROBES, None),
+    "constant-a1-a0-source": ("constant", {"sigma2": 1.5, "a1": 0.3, "a0": -0.2}, KINETIC, 1,
+                              PROBES, ("sine", {"axis": 1})),
+    "chain3-source": ("constant", {}, ((0, 0, 0), (1, 0, 0), (0, 1, 0)), 1, PROBES3,
+                      ("coordinate", {"axis": 2})),
+    "damped": ("time-piecewise", {}, DAMPED, 1, PROBES, None),
+    "kinetic-d2": ("space-sinusoidal", {"axis": 2}, tuple(map(tuple, kinetic_drift(2))), 2,
+                   PROBES4, ("sine", {"axis": 3})),
+}
+
+
+@ANTITHETIC
+@pytest.mark.parametrize("case", list(DENSE_CASES))
+def test_column_drift_step_equals_the_dense_product_bitwise(case, antithetic):
+    # one nonzero per row of B: (X_j * B_ij) * dt is what rows @ B^T gives,
+    # so the column-layout loop reproduces the dense loop bit for bit
+    family, params, B, d, probes, source = DENSE_CASES[case]
+    cf = make_coefficients(family, d=d, **params)
+    S = block_structure(np.array(B, dtype=float), d=d)
+    f = make_source(source[0], **source[1]) if source else None
+    cfg = SdeConfig(n_paths=ODD_PATHS, n_steps=9, seed=6, antithetic=antithetic)
+    got = simulate_paths(cf, S, cfg, 0.2, probes, 1.0, f=f)
+    want = _dense_reference(cf, S, cfg, probes, f=f)
+    assert got.terminal.shape == want[0].shape
+    assert np.array_equal(got.terminal, want[0])
+    assert np.array_equal(got.log_weight, want[1])
+    assert np.array_equal(got.source_integral, want[2])
+
+
+def test_dense_drift_rows_stay_within_roundoff_of_the_dense_product(cf_const):
+    # rows with several nonzeros add their terms one by one, while BLAS sums
+    # them (with fused multiply-add) before the step, so bits move: after 9
+    # steps the largest move relative to max(1, |x|) measured 1.0e-15
+    S = block_structure(np.array([[0.3, 0.2], [1.0, -0.5]]), d=1)
+    cf = make_coefficients("constant", d=1, sigma2=1.0, a0=-0.2)
+    f = make_source("coordinate", axis=1)
+    cfg = SdeConfig(n_paths=ODD_PATHS, n_steps=9, seed=6)
+    got = simulate_paths(cf, S, cfg, 0.2, PROBES, 1.0, f=f)
+    want = _dense_reference(cf, S, cfg, PROBES, f=f)
+    for a, b in zip((got.terminal, got.log_weight, got.source_integral), want):
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-14
 
 
 # ----------------------------------------------------------------------

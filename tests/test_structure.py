@@ -288,6 +288,26 @@ def test_dimension_mismatch_rejected(S2):
 # ----------------------------------------------------------------------
 
 
+def test_drift_terms_list_exactly_the_nonzero_entries():
+    dense = np.array([[0.3, 0.2], [1.0, -0.5]])
+    assert block_structure(dense, 1).drift_terms == (
+        (0, 0, 0.3), (0, 1, 0.2), (1, 0, 1.0), (1, 1, -0.5)
+    )
+    assert block_structure(chain(3), 1).drift_terms == ((1, 0, 1.0), (2, 1, 1.0))
+    rng = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
+    for _ in range(30):
+        B, d = random_canonical_drift(rng)
+        if not kalman_rank(B, d)[0]:
+            continue
+        terms = block_structure(B, d).drift_terms
+        rebuilt = np.zeros_like(B)
+        for i, j, b in terms:
+            assert b != 0.0
+            rebuilt[i, j] = b
+        assert len(terms) == np.count_nonzero(B)
+        assert np.array_equal(rebuilt, B)
+
+
 def test_random_canonical_drift_properties():
     rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
     seen_violation = False
