@@ -175,13 +175,12 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
         xi = np.concatenate([_normals(r, b, d, antithetic) for r, b in zip(rng, sizes)])
         if cf.a1 is not None:
             a1_dt = np.asarray(cf.a1(tv, rows), dtype=float) * dt  # at the step's start
-        # X_j * 1.0 is X_j exactly, so unit entries skip the product
-        drift = [(i, (X[j] if b == 1.0 else X[j] * b) * dt) for i, j, b in terms]
+        drift = [(i, X[j] * b * dt) for i, j, b in terms]
         for i, inc in drift:
             X[i] += inc
         if cf.a1 is not None:
             rows[:, :d] += a1_dt
-        noise = sig[..., 0] * xi if d == 1 else np.einsum("...ij,...j->...i", sig, xi)
+        noise = np.einsum("...ij,...j->...i", sig, xi)
         X[:d] += sdt * np.moveaxis(noise, -1, 0).reshape(d, -1, n)
         if f is not None:
             fw_next = np.array(f(at(k + 1), rows), dtype=float)  # a copy: summed into in place
@@ -192,6 +191,7 @@ def _em_chunk(cf, S, t0, x0, T, n_steps, m, rng, antithetic, f):
             fw *= dt
             If += fw
             fw = fw_next
+    # a row-major copy: a datum's y @ c on the strided view moves last bits
     return np.ascontiguousarray(X.transpose(1, 2, 0)), Ia.reshape(P, n), If.reshape(P, n)
 
 

@@ -361,6 +361,11 @@ def test_column_drift_step_equals_the_dense_product_bitwise(case, antithetic):
     assert np.array_equal(got.terminal, want[0])
     assert np.array_equal(got.log_weight, want[1])
     assert np.array_equal(got.source_integral, want[2])
+    # a linear datum reads each probe's terminal states as rows; a strided
+    # terminal would take another BLAS kernel here and move last bits
+    g = make_datum("linear", c=0.37 * np.arange(1, S.N + 1))
+    for p in range(len(probes)):
+        assert np.array_equal(g(got.probe(p).terminal), g(want[0][p]))
 
 
 def test_dense_drift_rows_stay_within_roundoff_of_the_dense_product(cf_const):
