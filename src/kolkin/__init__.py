@@ -10,10 +10,8 @@ exponents of the solution's derivatives near the terminal time.
 """
 
 from .cauchy import (
-    BoundaryFit,
     SolutionSample,
     SolverConfig,
-    boundary_regY_check,
     potential_source,
     residual_check,
     samples_to_csv,
@@ -24,7 +22,6 @@ from .errors import (
     DatumEvaluationError,
     EmptyInterval,
     HormanderViolation,
-    InsufficientData,
     InvalidData,
     InvalidScale,
     IoError,
@@ -43,17 +40,14 @@ from .holder import (
     intrinsic_norm_est,
     lie_seminorm_est,
     taylor_remainder_check,
-    taylor_t2,
     weighted_sup_norm,
 )
 from .kernels import (
     CovarianceMatrix,
     KernelEvaluation,
     frozen_covariance,
-    levi_first_kernel,
     parametrix,
     reference_covariance,
-    reference_gaussian,
 )
 from .levi import LeviConfig, fundamental_solution, phi_eval
 from .problems import CauchyProblem, Datum, Source, make_datum, make_source
@@ -69,7 +63,6 @@ from .sde import (
 from .structure import (
     DriftStructure,
     anisotropic_norm,
-    b_length,
     block_structure,
     controllability_gramian_rank,
     dilation,

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     DatumEvaluationError,
     EmptyInterval,
-    InsufficientData,
     InvalidData,
     NumericalDivergence,
 )
@@ -50,12 +49,12 @@ from .structure import matrix_exp
 class SolverConfig:
     """Quadrature sizes for the potential evaluations.
 
-    The interior lattice takes its depth, covariance nodes, grading and
-    min_gap from levi and its sizes from time_nodes / space_nodes.  The
-    time grading exponent defaults to 2/alpha of the problem, matching the
+    The interior lattice takes its depth, covariance nodes and grading
+    from levi and its sizes from time_nodes / space_nodes.  The time
+    grading exponent defaults to 2/alpha of the problem, matching the
     substitution that tames the endpoint singularities of the source
-    potentials; min_gap keeps the closest slice a positive distance from
-    both endpoints.
+    potentials; levi.MIN_GAP keeps the closest slice a positive distance
+    from both endpoints.
     """
 
     levi: LeviConfig = field(default_factory=LeviConfig)
@@ -206,53 +205,6 @@ def residual_check(pb: CauchyProblem, cfg: SolverConfig, points: Iterable) -> np
         Au = fval - sample.Yu
         res.append((u_next - sample.u) / dt + Au - fval)
     return np.asarray(res)
-
-
-@dataclass
-class BoundaryFit:
-    """Fitted short-time boundary attainment along the flow."""
-
-    slope: float
-    gaps: np.ndarray
-    sups: np.ndarray
-    degenerate: bool
-
-
-NOISE_FLOOR = 1e-8
-
-
-def boundary_regY_check(
-    pb: CauchyProblem, cfg: SolverConfig, x_grid: Sequence, t_grid: Sequence
-) -> BoundaryFit:
-    """Fit sup_x |u(t, e^((T-t)B) x) - g(x)| against (T - t) in log-log.
-
-    Measures how fast the solution attains its terminal datum along the
-    drift flow; the expected slope is beta/2 for a datum of regularity
-    beta.  Sup levels at the quadrature noise floor are flagged degenerate.
-    """
-    if pb.g is None:
-        raise InvalidData("boundary check needs a terminal datum")
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    if t_grid.size < 3:
-        raise InsufficientData("boundary fit needs at least 3 time levels")
-    xs = np.atleast_2d(np.asarray(list(x_grid), dtype=float))
-    g_ref = np.asarray(pb.g(xs), dtype=float)
-    sups = []
-    for t in t_grid:
-        flow = matrix_exp(pb.S.B, pb.T - t)
-        diffs = [
-            _represent(pb, cfg, t, flow @ x, order=0).value - g
-            for x, g in zip(xs, g_ref)
-        ]
-        sups.append(np.max(np.abs(diffs)))
-    sups = np.asarray(sups)
-    gaps = pb.T - t_grid
-    degenerate = bool(np.max(sups) < NOISE_FLOOR)
-    if degenerate:
-        slope = float("nan")
-    else:
-        slope = float(np.polyfit(np.log(gaps), np.log(np.maximum(sups, 1e-300)), 1)[0])
-    return BoundaryFit(slope=slope, gaps=gaps, sups=sups, degenerate=degenerate)
 
 
 def samples_to_csv(samples: Sequence[SolutionSample], path: str, residuals=None) -> None:

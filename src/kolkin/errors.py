@@ -48,10 +48,6 @@ class MissingDerivative(KolkinError, ValueError):
     """A norm estimate needs derivatives the supplied function lacks."""
 
 
-class InsufficientData(KolkinError, ValueError):
-    """Not enough grid levels / samples for the requested fit."""
-
-
 class InvalidData(KolkinError, ValueError):
     """Fit input out of domain (non-positive values on a log scale, ...)."""
 

@@ -30,7 +30,7 @@ class SamplerSpec:
     t_box: (lo, hi) time window for space-time estimators.
     n_base: number of low-discrepancy base points.
     n_directions: increment directions per base point.
-    levels: dyadic scale ladder h_k = h0 * 2^-k, k = 0..levels-1.
+    levels: dyadic scale ladder h_k = 2^-k, k = 0..levels-1.
     """
 
     box: tuple
@@ -38,21 +38,18 @@ class SamplerSpec:
     n_base: int = 48
     n_directions: int = 6
     levels: int = 13
-    h0: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.n_base < 1 or self.n_directions < 1 or self.levels < 1:
             raise InvalidData("sampler sizes must be >= 1")
-        if not self.h0 > 0:
-            raise InvalidData("ladder origin h0 must be positive")
 
     @property
     def box_array(self) -> np.ndarray:
         return np.asarray(self.box, dtype=float)
 
     def scales(self) -> np.ndarray:
-        return self.h0 * 2.0 ** (-np.arange(self.levels, dtype=float))
+        return 2.0 ** (-np.arange(self.levels, dtype=float))
 
 
 @dataclass
@@ -154,7 +151,7 @@ def _increment_pairs(spec: SamplerSpec, S: DriftStructure, degenerate_only: bool
 
 def _grad_callable(g, what: str):
     fn = getattr(g, "grad_d", None)
-    if fn is None or (hasattr(g, "grad_d_fn") and g.grad_d_fn is None):
+    if fn is None:
         raise MissingDerivative(f"{what} requires an analytic gradient in x_1..x_d")
     return fn
 
@@ -194,8 +191,6 @@ def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) 
         )
     grad_fn = _grad_callable(g, f"order {alpha} estimation")
     hess_fn = getattr(g, "hess_d", None)
-    if hasattr(g, "hess_d_fn") and g.hess_d_fn is None:
-        hess_fn = None
     sub = [
         anisotropic_norm_est(
             _Component(grad_fn, i, hess_fn if alpha - 1.0 > 1.0 else None),
@@ -397,13 +392,6 @@ def _taylor_t2_stack(F, s, y, z) -> np.ndarray:
     )
 
 
-def taylor_t2(F, s: float, y, z) -> float:
-    """Second-order intrinsic Taylor polynomial at (s, y) evaluated on offset z."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    return float(_taylor_t2_stack(F, np.full(1, s), y, z)[0])
-
-
 @dataclass
 class TaylorCheck:
     """Remainder-quotient ladder for the intrinsic Taylor formula."""
@@ -418,7 +406,7 @@ def taylor_remainder_check(F, alpha: float, S: DriftStructure, spec: SamplerSpec
     """Ladder of remainder quotients |F - T2| / (|tau - s| + |offset|^(2+alpha)).
 
     Per level the sup is cumulative over all coarser-or-equal scales (the
-    running max from h0 downward), so the ladder is monotone by
+    running max from h = 1 downward), so the ladder is monotone by
     construction; a bounded ladder certifies the Taylor formula at the
     sampled points, a diverging one flags a function outside the class.
     """

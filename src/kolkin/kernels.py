@@ -12,7 +12,7 @@ where A embeds the d x d diffusion block a2 into N x N, and the kernel is
 i.e. the freezing point is the kernel's own terminal point.  Constant-in-x
 coefficients make Z the exact fundamental solution; otherwise a correction
 series (see levi.py) is driven by the first kernel returned by
-:func:`levi_first_kernel`.
+:func:`levi_first_kernel_stack`.
 
 Everything is evaluated in log space on time groups.  The stack functions
 take times t, s (and tau) of shape (G,), scalars broadcasting, and points
@@ -355,11 +355,6 @@ def reference_gaussian_log_stack(delta: float, S: DriftStructure, t, x, s, y):
     return _gauss_stack(S, _per_group(C, y.ndim), t, x, s, y, 0)["log_abs"]
 
 
-def reference_gaussian(delta: float, S: DriftStructure, t: float, x, s: float, y) -> float:
-    """Reference Gaussian with covariance delta * C(s - t)."""
-    return float(np.exp(reference_gaussian_log_stack(delta, S, [t], [x], [s], [y])[0]))
-
-
 def _first_kernel(cf, S, t, x, s, y, cov_nodes: int, z=None) -> np.ndarray:
     """First kernel on time groups (see :func:`levi_first_kernel_stack`);
     z, when given, is the exact offset y - e^((s-t)B) x.
@@ -393,8 +388,3 @@ def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODE
             + sum_i a1_i(t,x) d_i Z + a0(t,x) Z.
     """
     return _first_kernel(cf, S, t, x, s, y, cov_nodes)
-
-
-def levi_first_kernel(cf, S, t: float, x, s: float, y) -> float:
-    """First kernel of the correction series at a single pair."""
-    return float(levi_first_kernel_stack(cf, S, [t], [x], [s], [y])[0])

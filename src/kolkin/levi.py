@@ -1,7 +1,7 @@
 """Correction series turning the frozen-coefficient kernel into the
 fundamental solution.
 
-With H the first kernel (kernels.levi_first_kernel) and * the space-time
+With H the first kernel (kernels.levi_first_kernel_stack) and * the space-time
 convolution  (Z * F)(t,x;s,y) = int_t^s int Z(t,x;r,z) F(r,z;s,y) dz dr,
 the fundamental solution is p = Z + Phi where Phi = Z * F and F solves the
 Volterra equation F = H + H * F.  The truncation used here is the K-term
@@ -40,6 +40,10 @@ from .quadrature import gaussian_product, graded_nodes, proposal_nodes
 from .structure import expm_stack
 
 GRADING_CAP = 6.0
+# smallest time gap evaluated: graded nodes closer than this to an interval
+# endpoint are dropped, which leaves out an endpoint contribution of order
+# MIN_GAP^beta (see quadrature.graded_nodes)
+MIN_GAP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,6 @@ class LeviConfig:
         solver's lattice (SolverConfig.lattice_config).
     cov_nodes: quadrature nodes for each frozen covariance inside the
         lattice machinery (the public kernel API keeps its own default).
-    min_gap: smallest time gap evaluated; graded nodes closer than this to
-        an interval endpoint are dropped, which leaves out an endpoint
-        contribution of order min_gap^beta (see quadrature.graded_nodes).
     """
 
     depth: int = 2
@@ -63,7 +64,6 @@ class LeviConfig:
     space_nodes: int = 9
     grading: Optional[float] = None
     cov_nodes: int = 16
-    min_gap: float = 1e-5
 
     def __post_init__(self):
         if self.depth < 0:
@@ -107,7 +107,7 @@ def _build_lattice(cf, S, cfg, t, x, s, y=None) -> _Lattice:
     if not s > t:
         raise EmptyInterval(f"lattice needs s > t, got ({t}, {s})")
     p = cfg.grading_power(cf.alpha_bar)
-    times, tw = graded_nodes(t, s, cfg.time_nodes, p, min_gap=cfg.min_gap)
+    times, tw = graded_nodes(t, s, cfg.time_nodes, p, min_gap=MIN_GAP)
     if times.size == 0:
         raise EmptyInterval("graded time grid is empty; interval too short")
     means = expm_stack(S.B, times - t) @ np.asarray(x, dtype=float)

@@ -22,26 +22,14 @@ from .structure import DriftStructure
 
 @dataclass
 class Datum:
-    """Terminal datum g with optional analytic derivatives in x_1..x_d."""
+    """Terminal datum g with its declared regularity index beta."""
 
     fn: Callable
     beta: float
     name: str = "datum"
-    grad_d_fn: Optional[Callable] = None
-    hess_d_fn: Optional[Callable] = None
 
     def __call__(self, y):
         return np.asarray(self.fn(np.atleast_2d(np.asarray(y, dtype=float))))
-
-    def grad_d(self, y):
-        if self.grad_d_fn is None:
-            raise InvalidData(f"datum '{self.name}' has no analytic gradient")
-        return np.asarray(self.grad_d_fn(np.atleast_2d(np.asarray(y, dtype=float))))
-
-    def hess_d(self, y):
-        if self.hess_d_fn is None:
-            raise InvalidData(f"datum '{self.name}' has no analytic hessian")
-        return np.asarray(self.hess_d_fn(np.atleast_2d(np.asarray(y, dtype=float))))
 
 
 @dataclass
@@ -80,12 +68,7 @@ def make_datum(name: str, **params) -> Datum:
     if name == "constant":
         c = float(p.pop("value", 1.0))
         _check_empty(name, p)
-        return Datum(
-            fn=lambda y: np.full(y.shape[0], c),
-            grad_d_fn=None,
-            beta=2.0,
-            name=name,
-        )
+        return Datum(fn=lambda y: np.full(y.shape[0], c), beta=2.0, name=name)
     if name == "linear":
         cvec = p.pop("c", None)
         beta = float(p.pop("beta", 1.0))
@@ -93,12 +76,7 @@ def make_datum(name: str, **params) -> Datum:
         if cvec is None:
             raise InvalidData("linear datum needs coefficient vector c")
         c = np.asarray(cvec, dtype=float)
-        return Datum(
-            fn=lambda y: y @ c,
-            grad_d_fn=None,  # depends on d; solver uses kernel derivatives anyway
-            beta=beta,
-            name=name,
-        )
+        return Datum(fn=lambda y: y @ c, beta=beta, name=name)
     if name == "abs":
         _check_empty(name, p)
         return Datum(

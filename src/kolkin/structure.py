@@ -229,13 +229,3 @@ def dilation(S: DriftStructure, lam: float, x):
     """Intrinsic dilation: coordinate i scales by lam^(2j+1)."""
     x = np.asarray(x, dtype=float)
     return x * lam**S.weights
-
-
-def b_length(iota, S: DriftStructure) -> int:
-    """Weighted length of a spatial multi-index: sum_i (2j+1) iota_i."""
-    iota = np.asarray(iota)
-    if iota.shape != (S.N,):
-        raise StructuralError(f"multi-index must have length {S.N}")
-    if iota.dtype.kind not in "iu" or np.any(iota < 0):
-        raise StructuralError("multi-index entries must be non-negative integers")
-    return int(np.sum(S.weights.astype(int) * iota))

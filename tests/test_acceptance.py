@@ -19,26 +19,27 @@ from kolkin import (
     SamplerSpec,
     SdeConfig,
     SolverConfig,
-    boundary_regY_check,
     controllability_gramian_rank,
     fit_blowup_exponent,
     kalman_rank,
     make_datum,
     make_source,
     named_suite,
-    potential_source,
     random_canonical_drift,
     run_verification_suite,
     solve_point,
     taylor_remainder_check,
 )
 from kolkin.suites import (
+    NOISE_FLOOR,
     blowup_probes,
+    boundary_attainment_pairs,
     chapman_kolmogorov_error,
     gaussian_bound_constants,
     hessian_blowup_pairs,
     kernel_mass,
     phi_smallness_pairs,
+    source_weight_pairs,
 )
 
 LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)
@@ -221,11 +222,7 @@ def test_criterion_09_singular_source_growth(announce, S2, cf_const):
         (0.5, make_source("weighted-time", gamma=0.5, T=1.0)),
     ):
         pb = CauchyProblem(cf=cf_const, S=S2, T=1.0, f=f, alpha=0.5)
-        pairs = [
-            (gap, max(abs(potential_source(pb, cfg, 1.0 - gap, x).value) for x in probes))
-            for gap in LADDER
-        ]
-        fit = fit_blowup_exponent(pairs)
+        fit = fit_blowup_exponent(source_weight_pairs(pb, cfg, LADDER, probes))
         target = 1.0 - gamma
         ok = ok and abs(fit.slope - target) <= EXP_TOL
         details.append(f"gamma={gamma:g}: {fit.slope:.3f} (target {target:g})")
@@ -240,9 +237,15 @@ def test_criterion_10_boundary_attainment(announce, S2, cf_const):
     details = []
     for name, g, beta in (("abs", make_datum("abs"), 1.0), ("signed-square", make_datum("signed-square"), 2.0)):
         pb = CauchyProblem(cf=cf_const, S=S2, T=1.0, g=g, alpha=0.5)
-        fit = boundary_regY_check(pb, cfg, probes, [1.0 - gap for gap in LADDER])
+        pairs = boundary_attainment_pairs(pb, cfg, LADDER, probes)
+        fit = fit_blowup_exponent(pairs)
         target = beta / 2.0
-        ok = ok and not fit.degenerate and abs(fit.slope - target) <= EXP_TOL
+        ok = (
+            ok
+            and max(sup for _, sup in pairs) >= NOISE_FLOOR
+            and not fit.unreliable
+            and abs(fit.slope - target) <= EXP_TOL
+        )
         details.append(f"{name} {fit.slope:.3f} (target {target:g})")
     announce(10, "terminal-attainment-rate", ok, "; ".join(details) + f" +-{EXP_TOL}")
     assert ok

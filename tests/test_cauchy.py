@@ -15,7 +15,6 @@ from kolkin import (
     SdeConfig,
     SolverConfig,
     block_structure,
-    boundary_regY_check,
     feynman_kac_estimate,
     make_coefficients,
     make_datum,
@@ -35,18 +34,22 @@ from kolkin.kernels import (
 )
 from kolkin.levi import _build_lattice, _pair_tensor, terminal_smoothing
 from kolkin.quadrature import proposal_nodes
-from kolkin.suites import kinetic_drift
+from kolkin.suites import (
+    NOISE_FLOOR,
+    boundary_attainment_pairs,
+    fit_blowup_exponent,
+    kinetic_drift,
+)
 
 X0 = np.array([0.3, 0.1])
 CFG = SolverConfig()
 
 
-def test_lattice_config_honours_the_levi_grading_and_min_gap():
-    cfg = SolverConfig(levi=LeviConfig(grading=1.5, min_gap=1e-3), time_nodes=6)
+def test_lattice_config_honours_the_levi_grading():
+    cfg = SolverConfig(levi=LeviConfig(grading=1.5), time_nodes=6)
     lat = cfg.lattice_config(alpha=0.5)
-    assert (lat.grading, lat.min_gap, lat.time_nodes) == (1.5, 1e-3, 6)
-    default = SolverConfig().lattice_config(alpha=0.5)
-    assert (default.grading, default.min_gap) == (4.0, 1e-5)
+    assert (lat.grading, lat.time_nodes) == (1.5, 6)
+    assert SolverConfig().lattice_config(alpha=0.5).grading == 4.0
     assert SolverConfig().lattice_config(alpha=4.0).grading == 1.0
 
 
@@ -320,18 +323,19 @@ def test_boundary_fit_for_lipschitz_kink(S2, cf_const):
     pb = CauchyProblem(cf=cf_const, S=S2, T=1.0, g=make_datum("abs"), alpha=0.5)
     gaps = [0.4, 0.2, 0.1, 0.05, 0.025]
     probes = [np.zeros(2), X0, np.array([-0.25, 0.0])]
-    fit = boundary_regY_check(pb, CFG, probes, [1.0 - g for g in gaps])
-    assert not fit.degenerate
-    assert abs(fit.slope - 0.5) <= 1e-6
-    assert len(fit.gaps) == len(fit.sups) == len(gaps)
+    pairs = boundary_attainment_pairs(pb, CFG, gaps, probes)
+    assert [gap for gap, _ in pairs] == gaps
+    assert max(sup for _, sup in pairs) >= NOISE_FLOOR
+    fit = fit_blowup_exponent(pairs)
+    assert abs(fit.slope - 0.5) <= 1e-6 and not fit.unreliable
 
 
 def test_boundary_fit_degenerates_for_preserved_datum(S2, cf_const):
     # u == g == 1 identically, so sup |u - g| sits at the noise floor and the
-    # fit must flag itself as degenerate rather than report a junk slope.
+    # blow-up stage records it as degenerate rather than fit a junk slope.
     pb = CauchyProblem(cf=cf_const, S=S2, T=1.0, g=make_datum("constant", value=1.0), alpha=0.5)
-    fit = boundary_regY_check(pb, CFG, [X0], [0.4, 0.2, 0.1])
-    assert fit.degenerate
+    pairs = boundary_attainment_pairs(pb, CFG, [0.6, 0.8, 0.9], [X0])
+    assert max(sup for _, sup in pairs) < NOISE_FLOOR
 
 
 # ---------------------------------------------------------------------------

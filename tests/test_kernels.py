@@ -9,14 +9,18 @@ from kolkin import (
     SingularCovariance,
     block_structure,
     frozen_covariance,
-    levi_first_kernel,
     make_coefficients,
     matrix_exp,
     parametrix,
     reference_covariance,
-    reference_gaussian,
 )
-from kolkin.kernels import factor_covariance, factor_stack, frozen_covariance_stack
+from kolkin.kernels import (
+    factor_covariance,
+    factor_stack,
+    frozen_covariance_stack,
+    levi_first_kernel_stack,
+    reference_gaussian_log_stack,
+)
 from kolkin.quadrature import (
     _hermgauss,
     _leggauss,
@@ -226,7 +230,7 @@ def test_kernel_dominated_by_widened_reference(S2, cf_sin):
         offset = factor_covariance(C).chol @ rng.normal(size=2)
         y = matrix_exp(S2.B, s - t) @ x + 1.5 * offset
         num = parametrix(cf_sin, S2, t, x, s, y).value
-        den = reference_gaussian(2 * cf_sin.mu, S2, t, x, s, y)
+        den = np.exp(reference_gaussian_log_stack(2 * cf_sin.mu, S2, [t], [x], [s], [y])[0])
         assert den > 0
         worst = max(worst, num / den)
     assert np.isfinite(worst)
@@ -244,10 +248,10 @@ def test_parametrix_rejects_empty_interval(S2, cf_const):
 
 
 def test_first_kernel_vanishes_for_constant_coefficients(S2, cf_const):
-    assert (
-        levi_first_kernel(cf_const, S2, 0.3, np.array([0.4, -0.2]), 0.8, np.array([0.9, 0.1]))
-        == 0.0
+    H = levi_first_kernel_stack(
+        cf_const, S2, [0.3], [np.array([0.4, -0.2])], [0.8], [np.array([0.9, 0.1])]
     )
+    assert H[0] == 0.0
 
 
 def test_first_kernel_matches_increment_formula(S2, cf_sin):
@@ -255,7 +259,7 @@ def test_first_kernel_matches_increment_formula(S2, cf_sin):
     t, s = 0.3, 0.8
     x = np.array([0.4, -0.2])
     y = np.array([0.9, 0.1])
-    got = levi_first_kernel(cf_sin, S2, t, x, s, y)
+    got = levi_first_kernel_stack(cf_sin, S2, [t], [x], [s], [y])[0]
     v = matrix_exp(S2.B, t - s) @ y
     a_x = cf_sin.a2(np.array([t]), x[None, :])[0, 0, 0]
     a_v = cf_sin.a2(np.array([t]), v[None, :])[0, 0, 0]

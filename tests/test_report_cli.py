@@ -235,6 +235,41 @@ def test_chapman_kolmogorov_survives_an_underflowing_direct_kernel():
 
 
 # ---------------------------------------------------------------------------
+# Ladder checks of the blow-up stage
+# ---------------------------------------------------------------------------
+
+
+def _record(report, name):
+    return next(rec for rec in report.checks if rec.name == name)
+
+
+def test_exact_datum_records_the_boundary_noise_floor():
+    # u == g == 1 with a zero source: the boundary sups are quadrature noise,
+    # so the stage records a pass without a slope instead of fitting one
+    cfg = named_suite(
+        "langevin-constant", datum={"family": "constant", "value": 1.0},
+        source={"family": "constant", "value": 0.0}, stages=("blowup",),
+    )
+    rec = _record(run_verification_suite(cfg), "blowup.boundary-exponent")
+    assert rec.passed and rec.value is None and rec.target == 1.0
+    assert rec.note == "boundary increments at quadrature noise floor (exact datum)"
+
+
+def test_datumless_source_weight_matches_the_potential_stage():
+    # with no datum u = -V_{p,f}, so both stages fit the same ladder
+    cfg = named_suite(
+        "langevin-constant", datum=None, source={"family": "coordinate", "axis": 1},
+        stages=("potential", "blowup"),
+    )
+    report = run_verification_suite(cfg)
+    potential = _record(report, "potential.source-weight-exponent")
+    blowup = _record(report, "blowup.source-weight-exponent")
+    assert potential.passed and blowup.passed
+    assert blowup.value == potential.value
+    assert [rec.name for rec in report.checks] == [potential.name, blowup.name]
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 

@@ -11,7 +11,6 @@ from kolkin import (
     NotCanonicalForm,
     StructuralError,
     anisotropic_norm,
-    b_length,
     block_structure,
     controllability_gramian_rank,
     dilation,
@@ -266,16 +265,6 @@ def test_anisotropic_norm_triangle_inequality(S2, x, y):
     assert anisotropic_norm(x + y, S2) <= anisotropic_norm(x, S2) + anisotropic_norm(
         y, S2
     ) + 1e-12
-
-
-def test_b_length(S2):
-    assert b_length(np.array([1, 0]), S2) == 1
-    assert b_length(np.array([0, 1]), S2) == 3
-    assert b_length(np.array([2, 1]), S2) == 5
-    with pytest.raises(StructuralError):
-        b_length(np.array([1, 0, 0]), S2)
-    with pytest.raises(StructuralError):
-        b_length(np.array([-1, 0]), S2)
 
 
 def test_dimension_mismatch_rejected(S2):
