@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidData, MissingDerivative
 from .quadrature import halton_box, keyed_rng
-from .structure import DriftStructure, anisotropic_norm, dilation, expm_stack, matrix_exp
+from .structure import DriftStructure, anisotropic_norm, dilation, expm_stack
 
 
 @dataclass(frozen=True)
@@ -108,107 +108,97 @@ def _directions(spec: SamplerSpec, S: DriftStructure, degenerate_only: bool) -> 
     return np.stack([dilation(S, 1.0 / anisotropic_norm(u, S), u) for u in v])
 
 
-def _eval(g: Callable, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(g(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise InvalidData("function must map (M, N) points to (M,) values")
-    return vals
-
-
-def _increment_sup(g, alpha: float, S: DriftStructure, px, py):
-    """sup of |g(x) - g(y)| / |x - y|_B^alpha over the sampled pairs.
-
-    Returns (sup, argmax pair, number of pairs at positive distance).
-    """
-    dist = anisotropic_norm(px - py, S)
-    ok = dist > 0
-    if not ok.any():
-        return 0.0, (None, None), 0
-    quot = np.abs(_eval(g, px) - _eval(g, py))[ok] / dist[ok] ** alpha
-    k = int(np.argmax(quot))
-    return float(quot[k]), (px[ok][k], py[ok][k]), int(ok.sum())
-
-
 def _increment_pairs(spec: SamplerSpec, S: DriftStructure, degenerate_only: bool):
-    """(x, y) pairs: ladder-dilated directions plus all base-base pairs."""
+    """Bases and the (x, y) pairs at positive distance with that distance:
+    ladder-dilated directions plus all base-base pairs."""
     bases = _base_points(spec, S.N)
     dirs = _directions(spec, S, degenerate_only)
-    pair_x = []
-    pair_y = []
-    for hk in spec.scales():
-        for v in dirs:
-            delta = dilation(S, hk, v)
-            pair_x.append(bases)
-            pair_y.append(bases + delta)
+    deltas = np.array([dilation(S, hk, v) for hk in spec.scales() for v in dirs])
+    px = np.tile(bases, (len(deltas), 1))
+    py = (bases + deltas.reshape(-1, 1, S.N)).reshape(-1, S.N)
     if not degenerate_only:
         i, j = np.triu_indices(len(bases), k=1)
-        pair_x.append(bases[i])
-        pair_y.append(bases[j])
-    if not pair_x:
-        return bases, np.zeros((0, S.N)), np.zeros((0, S.N))
-    return bases, np.vstack(pair_x), np.vstack(pair_y)
+        px, py = np.vstack([px, bases[i]]), np.vstack([py, bases[j]])
+    dist = anisotropic_norm(px - py, S)
+    ok = dist > 0
+    return bases, px[ok], py[ok], dist[ok]
 
 
-def _grad_callable(g, what: str):
-    fn = getattr(g, "grad_d", None)
-    if fn is None:
-        raise MissingDerivative(f"{what} requires an analytic gradient in x_1..x_d")
-    return fn
+class _Static:
+    """g(y) as the time-independent F(t, y), carrying g's derivatives."""
+
+    def __init__(self, g):
+        self._g = g
+        if getattr(g, "grad_d", None) is not None:
+            self.grad_d = lambda t, y: g.grad_d(y)
+        if getattr(g, "hess_d", None) is not None:
+            self.hess_d = lambda t, y: g.hess_d(y)
+
+    def __call__(self, t, y):
+        return self._g(y)
 
 
-class _Component:
-    """Scalar view of one gradient component, carrying its own derivatives."""
+class _Partial:
+    """Gradient component i of F, with row i of F's Hessian as its gradient."""
 
-    def __init__(self, grad_fn, idx, hess_fn=None):
-        self._g = grad_fn
-        self._h = hess_fn
-        self._i = idx
-        if hess_fn is not None:
-            self.grad_d = lambda y: np.asarray(hess_fn(y))[:, self._i, :]
+    def __init__(self, F, i: int):
+        self._grad = F.grad_d
+        self._i = i
+        hess = getattr(F, "hess_d", None)
+        if hess is not None:
+            self.grad_d = lambda t, y: np.asarray(hess(t, y))[:, i, :]
 
-    def __call__(self, y):
-        return np.asarray(self._g(y))[:, self._i]
+    def __call__(self, t, y):
+        return np.asarray(self._grad(t, y))[:, self._i]
 
 
-def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) -> NormEstimate:
-    """Sampled anisotropic Holder norm of a spatial function.
+def _slices(F, alpha: float, S: DriftStructure, spec: SamplerSpec, times: np.ndarray):
+    """Anisotropic norm of every slice F(t, .) at the given times at once.
 
     Recursive in alpha: full-increment quotients up to order 1; above it,
     the gradient components at order alpha-1 plus degenerate-direction
-    increment quotients at order alpha.
+    increment quotients at order alpha.  Each pair set is evaluated in one
+    call of F on the (times x points) rows.  Returns the per-slice values,
+    the per-slice components, the per-slice argmax pairs as two (times, N)
+    stacks (None without pairs) and the number of pairs per slice.
     """
     if not 0.0 < alpha <= 3.0:
         raise InvalidData(f"order must be in (0, 3], got {alpha}")
-    if alpha <= 1.0:
-        bases, px, py = _increment_pairs(spec, S, degenerate_only=False)
-        sup = float(np.max(np.abs(_eval(g, bases))))
-        semi, arg, n_pairs = _increment_sup(g, alpha, S, px, py)
-        return NormEstimate(
-            value=sup + semi,
-            n_pairs=n_pairs,
-            argmax_pair=arg,
-            components={"sup": sup, "increment": semi},
-        )
-    grad_fn = _grad_callable(g, f"order {alpha} estimation")
-    hess_fn = getattr(g, "hess_d", None)
-    sub = [
-        anisotropic_norm_est(
-            _Component(grad_fn, i, hess_fn if alpha - 1.0 > 1.0 else None),
-            alpha - 1.0,
-            S,
-            spec,
-        )
-        for i in range(S.d)
-    ]
-    grad_part = max(e.value for e in sub)
-    bases, px, py = _increment_pairs(spec, S, degenerate_only=True)
-    sup = float(np.max(np.abs(_eval(g, bases))))
-    semi, arg, n_pairs = _increment_sup(g, alpha, S, px, py)
+    n_pairs = 0
+    if alpha > 1.0:
+        if getattr(F, "grad_d", None) is None:
+            raise MissingDerivative(f"order {alpha} requires an analytic gradient in x_1..x_d")
+        sub = [_slices(_Partial(F, i), alpha - 1.0, S, spec, times) for i in range(S.d)]
+        grad = np.max([value for value, *_ in sub], axis=0)
+        n_pairs = sum(n for *_, n in sub)
+    bases, px, py, dist = _increment_pairs(spec, S, degenerate_only=alpha > 1.0)
+    nb, m = len(bases), len(px)
+    pts = np.vstack([bases, px, py])
+    vals = _eval_st(F, np.repeat(times, len(pts)), np.tile(pts, (len(times), 1)))
+    vals = vals.reshape(len(times), len(pts))
+    sup = np.max(np.abs(vals[:, :nb]), axis=1)
+    semi, arg = np.zeros(len(times)), None
+    if m:
+        quot = np.abs(vals[:, nb : nb + m] - vals[:, nb + m :]) / dist**alpha
+        k = np.argmax(quot, axis=1)
+        semi = quot[np.arange(len(times)), k]
+        arg = (px[k], py[k])
+    if alpha > 1.0:
+        comps = {"sup": sup, "gradient": grad, "increment": semi}
+    else:
+        comps = {"sup": sup, "increment": semi}
+    return sum(comps.values()), comps, arg, n_pairs + m
+
+
+def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) -> NormEstimate:
+    """Sampled anisotropic Holder norm of a spatial function: the slice
+    engine on g lifted to a time-independent F, at one slice."""
+    value, comps, arg, n_pairs = _slices(_Static(g), alpha, S, spec, np.zeros(1))
     return NormEstimate(
-        value=sup + grad_part + semi,
-        n_pairs=n_pairs + sum(e.n_pairs for e in sub),
-        argmax_pair=arg,
-        components={"sup": sup, "gradient": grad_part, "increment": semi},
+        value=float(value[0]),
+        n_pairs=n_pairs,
+        argmax_pair=(None, None) if arg is None else (arg[0][0], arg[1][0]),
+        components={k: float(v[0]) for k, v in comps.items()},
     )
 
 
@@ -231,38 +221,34 @@ def lie_seminorm_est(F, alpha: float, S: DriftStructure, spec: SamplerSpec) -> N
     """Sampled sup of the flow-increment quotient along the drift.
 
     Compares F(s, e^((s-tau)B) x) with F(tau, x) over a time-gap ladder at
-    every sampled (tau, x), both orderings of s and tau.
+    every sampled (tau, x), both orderings of s and tau.  Every (tau, s)
+    pair inside the time window is formed at once, in ladder order, and the
+    first maximal quotient is reported.
     """
     if not 0.0 < alpha <= 2.0:
         raise InvalidData(f"Lie order must be in (0, 2], got {alpha}")
     lo, hi = spec.t_box
-    bases_x = _base_points(spec, S.N)
+    x = _base_points(spec, S.N)
     bases_t = _time_bases(spec)
-    n_pairs = 0
+    hk = spec.scales()
+    s_all = bases_t + np.stack([hk, -hk], axis=1)[:, :, None]  # (level, sign, tau)
+    ok = (s_all >= lo) & (s_all <= hi)
+    taus, ss = np.broadcast_to(bases_t, s_all.shape)[ok], s_all[ok]
+    xf = x @ expm_stack(S.B, ss - taus).transpose(0, 2, 1)  # (pair, point, N)
+    n_x = len(x)
+    after = _eval_st(F, np.repeat(ss, n_x), xf.reshape(-1, S.N))
+    before = _eval_st(F, np.repeat(taus, n_x), np.tile(x, (len(taus), 1)))
+    # scalar pow, element by element, for the reason taylor_remainder_check gives
+    gap = np.asarray([g ** (0.5 * alpha) for g in np.abs(ss - taus).tolist()])
+    quot = np.abs(after - before).reshape(len(taus), n_x) / gap[:, None]
     best, arg = 0.0, (None, None)
-    for hk in spec.scales():
-        for sgn in (+1.0, -1.0):
-            s_all = bases_t + sgn * hk
-            ok = (s_all > lo - 1e-300) & (s_all <= hi) & (s_all >= lo)
-            taus = bases_t[ok]
-            ss = s_all[ok]
-            if taus.size == 0:
-                continue
-            flows = [matrix_exp(S.B, s - tau) for tau, s in zip(taus, ss)]
-            for tau, s, fl in zip(taus, ss, flows):
-                xf = bases_x @ fl.T
-                tv = np.full(len(bases_x), tau)
-                sv = np.full(len(bases_x), s)
-                quot = np.abs(_eval_st(F, sv, xf) - _eval_st(F, tv, bases_x)) / abs(
-                    s - tau
-                ) ** (0.5 * alpha)
-                n_pairs += len(quot)
-                k = int(np.argmax(quot))
-                if quot[k] > best:
-                    best = float(quot[k])
-                    arg = ((tau, bases_x[k].copy()), (s, xf[k].copy()))
+    if quot.size:
+        k, i = divmod(int(np.argmax(quot)), n_x)
+        if quot[k, i] > 0:
+            best = float(quot[k, i])
+            arg = ((taus[k], x[i].copy()), (ss[k], xf[k, i].copy()))
     return NormEstimate(
-        value=best, n_pairs=n_pairs, argmax_pair=arg, components={"flow": best}
+        value=best, n_pairs=quot.size, argmax_pair=arg, components={"flow": best}
     )
 
 
@@ -270,52 +256,18 @@ def sliced_anisotropic_sup(
     F, alpha: float, S: DriftStructure, spec: SamplerSpec, weight=None
 ) -> NormEstimate:
     """sup over sampled time slices of (optional weight) * ||F(s,.)||_anis."""
-    best, arg, n_pairs = 0.0, (None, None), 0
-    for s in _time_bases(spec):
-        g = _Slice(F, s)
-        est = anisotropic_norm_est(g, alpha, S, spec)
-        w = 1.0 if weight is None else float(weight(s))
-        n_pairs += est.n_pairs
-        if w * est.value > best:
-            best = w * est.value
-            arg = (s, est.argmax_pair)
+    times = _time_bases(spec)
+    value, _, arg, n_pairs = _slices(F, alpha, S, spec, times)
+    if weight is not None:
+        value = np.asarray([float(weight(s)) for s in times]) * value
+    best, at = 0.0, (None, None)
+    j = int(np.argmax(value))
+    if value[j] > 0:
+        best = float(value[j])
+        at = (times[j], (None, None) if arg is None else (arg[0][j], arg[1][j]))
     return NormEstimate(
-        value=best, n_pairs=n_pairs, argmax_pair=arg, components={"sliced": best}
+        value=best, n_pairs=len(times) * n_pairs, argmax_pair=at, components={"sliced": best}
     )
-
-
-class _Slice:
-    """Freeze the time argument of a space-time function."""
-
-    def __init__(self, F, s: float):
-        self._F = F
-        self._s = float(s)
-        gfn = getattr(F, "grad_d", None)
-        if gfn is not None:
-            self.grad_d = lambda y: np.asarray(gfn(np.full(len(y), self._s), y))
-        hfn = getattr(F, "hess_d", None)
-        if hfn is not None:
-            self.hess_d = lambda y: np.asarray(hfn(np.full(len(y), self._s), y))
-
-    def __call__(self, y):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        return _eval_st(self._F, np.full(len(y), self._s), y)
-
-
-class _GradComponent:
-    """Scalar view of one space-time gradient component."""
-
-    def __init__(self, F, idx):
-        self._F = F
-        self._i = idx
-        gfn = getattr(F, "grad_d", None)
-        self._gfn = gfn
-        hfn = getattr(F, "hess_d", None)
-        if hfn is not None:
-            self.grad_d = lambda t, y: np.asarray(hfn(t, y))[:, self._i, :]
-
-    def __call__(self, t, y):
-        return np.asarray(self._gfn(t, y))[:, self._i]
 
 
 def intrinsic_norm_est(
@@ -340,10 +292,8 @@ def intrinsic_norm_est(
     n_pairs = sliced.n_pairs
     arg = sliced.argmax_pair
     if alpha > 1.0:
-        if getattr(F, "grad_d", None) is None:
-            raise MissingDerivative("intrinsic order > 1 requires grad_d")
         sub = [
-            intrinsic_norm_est(_GradComponent(F, i), alpha - 1.0, S, spec, Yf=None)
+            intrinsic_norm_est(_Partial(F, i), alpha - 1.0, S, spec, Yf=None)
             for i in range(S.d)
         ]
         gpart = max(e.value for e in sub)

@@ -355,9 +355,18 @@ def reference_gaussian_log_stack(delta: float, S: DriftStructure, t, x, s, y):
     return _gauss_stack(S, _per_group(C, y.ndim), t, x, s, y, 0)["log_abs"]
 
 
-def _first_kernel(cf, S, t, x, s, y, cov_nodes: int, z=None) -> np.ndarray:
-    """First kernel on time groups (see :func:`levi_first_kernel_stack`);
-    z, when given, is the exact offset y - e^((s-t)B) x.
+def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODES, z=None):
+    """First kernel of the correction series, (L Z)(t, x; s, y), on time
+    groups: t and s of shape (G,), x and y of shape (G, ..., N), as for
+    :func:`parametrix_stack`, whose covariance rule it shares.  z, when
+    given, is the exact offset y - e^((s-t)B) x.
+
+    The frozen operator annihilates Z exactly, so applying the full operator
+    leaves the coefficient increment against the hessian plus the
+    lower-order terms:
+
+        H = 1/2 sum_ij (a2_ij(t,x) - a2_ij(t, e^((t-s)B) y)) d_ij Z
+            + sum_i a1_i(t,x) d_i Z + a0(t,x) Z.
 
     a2, a1 and a0 are evaluated once per point of x, and a2 once per point of
     y at its back-flowed image; both broadcast to the pair shape.
@@ -373,18 +382,3 @@ def _first_kernel(cf, S, t, x, s, y, cov_nodes: int, z=None) -> np.ndarray:
     if cf.a0 is not None:
         H = H + _at(cf.a0, t, x) * out["value"]
     return H
-
-
-def levi_first_kernel_stack(cf, S, t, x, s, y, cov_nodes: int = DEFAULT_COV_NODES):
-    """First kernel of the correction series, (L Z)(t, x; s, y), on time
-    groups: t and s of shape (G,), x and y of shape (G, ..., N), as for
-    :func:`parametrix_stack`, whose covariance rule it shares.
-
-    The frozen operator annihilates Z exactly, so applying the full operator
-    leaves the coefficient increment against the hessian plus the
-    lower-order terms:
-
-        H = 1/2 sum_ij (a2_ij(t,x) - a2_ij(t, e^((t-s)B) y)) d_ij Z
-            + sum_i a1_i(t,x) d_i Z + a0(t,x) Z.
-    """
-    return _first_kernel(cf, S, t, x, s, y, cov_nodes)

@@ -28,7 +28,6 @@ from .kernels import (
     KernelEvaluation,
     _combine,
     _contract,
-    _first_kernel,
     _zero_eval,
     factor_stack,
     levi_first_kernel_stack,
@@ -139,7 +138,9 @@ def terminal_smoothing(cf, S, cov_nodes, eta_nodes, lat: _Lattice, T, g_fn) -> n
     offs, w_eta = proposal_nodes(np.zeros((n_t, S.N)), factor_stack(covs)[0], eta_nodes)
     y = centers[:, :, None, :] + offs[:, None, :, :]  # (n_t, n_z, n_c, N)
     # one group per slice: its nodes (as sources) x their clouds (as targets)
-    H = _first_kernel(cf, S, lat.times, lat.points[:, :, None], T, y, cov_nodes, offs[:, None])
+    H = levi_first_kernel_stack(
+        cf, S, lat.times, lat.points[:, :, None], T, y, cov_nodes=cov_nodes, z=offs[:, None]
+    )
     gv = np.asarray(g_fn(y.reshape(-1, S.N)), dtype=float).reshape(H.shape)
     return np.einsum("tc,tac->ta", w_eta, H * gv).reshape(n_t * n_z)
 

@@ -13,7 +13,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -262,6 +262,7 @@ class SuiteConfig:
         params = dict(self.sampler)
         params.setdefault("box", self.probe_box)
         params.setdefault("seed", self.seed)
+        params.setdefault("t_box", (0.05 * self.T, 0.9 * self.T))
         params.setdefault("n_base", 16)
         params.setdefault("n_directions", 4)
         return SamplerSpec(**params)
@@ -744,7 +745,6 @@ class KinkFunction:
 def taylor_stage(cfg: SuiteConfig, report: VerificationReport):
     S = cfg.structure()
     spec = cfg.sampler_spec()
-    spec = replace(spec, t_box=(0.05 * cfg.T, 0.9 * cfg.T))
     alpha = min(cfg.alpha, 1.0)
     smooth = taylor_remainder_check(ClosedFormSolution(cfg.T), alpha, S, spec)
     _add_check(

@@ -11,14 +11,17 @@ from kolkin import (
     SamplerSpec,
     anisotropic_norm,
     anisotropic_norm_est,
+    block_structure,
     intrinsic_norm_est,
     lie_seminorm_est,
     make_datum,
+    matrix_exp,
     taylor_remainder_check,
     weighted_sup_norm,
 )
-from kolkin.holder import _taylor_t2_stack
+from kolkin.holder import _taylor_t2_stack, sliced_anisotropic_sup
 from kolkin.structure import DriftStructure
+from kolkin.suites import kinetic_drift
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
 SPEC = SamplerSpec(box=BOX)
@@ -223,6 +226,112 @@ def test_weight_tames_a_blowing_up_profile(S2):
 def test_weight_exponent_range_enforced(S2):
     with pytest.raises(InvalidData):
         weighted_sup_norm(lambda t, y: sine(y), 1.0, 0.5, 1.0, S2, SPEC)
+
+
+# ---------------------------------------------------------------------------
+# Pinned estimates (recorded before the estimators were batched)
+# ---------------------------------------------------------------------------
+
+PIN_SPEC = SamplerSpec(box=BOX, n_base=24, levels=8)
+
+
+class SmoothF2:
+    """d = 2 on the kinetic drift: sin(v1 + 0.37) cos(v2) e^(-t/2) + cos(p1 - p2) / 2."""
+
+    def __call__(self, t, y):
+        e = np.exp(-t / 2.0)
+        return np.sin(y[:, 0] + 0.37) * np.cos(y[:, 1]) * e + 0.5 * np.cos(y[:, 2] - y[:, 3])
+
+    def grad_d(self, t, y):
+        e = np.exp(-t / 2.0)
+        return np.stack([np.cos(y[:, 0] + 0.37) * np.cos(y[:, 1]) * e,
+                         -np.sin(y[:, 0] + 0.37) * np.sin(y[:, 1]) * e], axis=1)
+
+    def hess_d(self, t, y):
+        e = np.exp(-t / 2.0)
+        a, b = y[:, 0] + 0.37, y[:, 1]
+        h = np.empty((len(y), 2, 2))
+        h[:, 0, 0] = h[:, 1, 1] = -np.sin(a) * np.cos(b) * e
+        h[:, 0, 1] = h[:, 1, 0] = -np.cos(a) * np.sin(b) * e
+        return h
+
+
+@pytest.mark.parametrize(
+    "alpha, value, n_pairs",
+    [(0.7, 2.1651491959926266, 69663), (1.5, 4.709578360275813, 183390),
+     (2.5, 10.349995572883584, 389832)],
+)
+def test_intrinsic_estimates_are_pinned(S2, alpha, value, n_pairs):
+    est = intrinsic_norm_est(
+        SmoothF(), alpha, S2, PIN_SPEC, Yf=SmoothF.lie if alpha > 2.0 else None
+    )
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.n_pairs == n_pairs
+    # the decaying factor puts every slice sup at the earliest time
+    assert est.argmax_pair[0] == pytest.approx(1e-4, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, value", [(0.5, 0.24920169143579005), (1.0, 0.2963524245261541), (2.0, 0.4727504497479203)]
+)
+def test_lie_estimates_are_pinned_and_their_argmax_is_honest(S2, alpha, value):
+    f = SmoothF()
+    est = lie_seminorm_est(f, alpha, S2, PIN_SPEC)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.n_pairs == 10506
+    (tau, x), (s, xf) = est.argmax_pair
+    assert xf == pytest.approx(matrix_exp(S2.B, s - tau) @ x, rel=1e-14)
+    quot = abs(f(np.array([s]), xf[None])[0] - f(np.array([tau]), x[None])[0])
+    assert quot / abs(s - tau) ** (0.5 * alpha) == pytest.approx(est.value, rel=1e-12)
+
+
+def test_weighted_slice_argmax_time_is_pinned(S2):
+    # the slice norms grow like e^(2s) and the weight (1 - s)^(1/2) falls,
+    # so the weighted sup sits inside the window, near s = 3/4
+    grow = lambda t, y: np.sin(y[:, 0] + 0.37) * np.exp(2.0 * t)
+    est = sliced_anisotropic_sup(grow, 0.7, S2, PIN_SPEC, weight=lambda s: (1.0 - s) ** 0.5)
+    assert est.argmax_pair[0] == pytest.approx(0.7500249999999999, rel=1e-12)
+    assert est.value == pytest.approx(4.253473254643453, rel=1e-12)
+    assert est.n_pairs == 59157
+    assert weighted_sup_norm(grow, 0.5, 0.7, 1.0, S2, PIN_SPEC) == est.value
+
+
+def test_weighted_norm_is_pinned(S2):
+    v = weighted_sup_norm(SmoothF(), 0.5, 0.7, 1.0, S2, PIN_SPEC)
+    assert v == pytest.approx(1.897966530848079, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, value, n_pairs", [(0.6, 2.7757985692652247, 27639), (1.4, 5.522522983968059, 124622)]
+)
+def test_intrinsic_estimate_on_the_two_dimensional_kinetic_drift(alpha, value, n_pairs):
+    S4 = block_structure(kinetic_drift(2), 2)
+    spec = SamplerSpec(box=((-1.0, 1.0),) * 4, n_base=16, levels=6)
+    est = intrinsic_norm_est(SmoothF2(), alpha, S4, spec)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.n_pairs == n_pairs
+    assert est.value == pytest.approx(sum(est.components.values()), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_abs_datum_norm_is_pinned(S2, alpha):
+    # |x1| on the box: sup 1 and unit quotient across the kink at every order <= 1
+    est = anisotropic_norm_est(make_datum("abs"), alpha, S2, SPEC)
+    assert est.components == {"sup": 1.0, "increment": 1.0}
+    assert est.n_pairs == 6175
+
+
+def test_intrinsic_estimate_evaluates_F_in_a_handful_of_calls(S2):
+    class Counted(SmoothF):
+        calls = 0
+
+        def __call__(self, t, y):
+            self.calls += 1
+            return super().__call__(t, y)
+
+    f = Counted()
+    intrinsic_norm_est(f, 1.5, S2, SamplerSpec(box=BOX))
+    assert f.calls <= 8
 
 
 # ---------------------------------------------------------------------------

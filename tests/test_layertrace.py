@@ -1,4 +1,5 @@
-"""The benchmark's layer tracer still binds the kernel, lattice and oracle layers.
+"""The benchmark's layer tracer still binds the kernel, lattice, oracle and
+Taylor-check layers.
 
 perfbench/layertrace.py rebinds kolkin's layer functions by name and counts
 from their parameter lists.  A renamed function, or a changed parameter
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from kolkin import CauchyProblem, SdeConfig, cauchy, make_datum, make_source, sde
+from kolkin import (
+    CauchyProblem, SdeConfig, cauchy, make_datum, make_source, named_suite,
+    run_verification_suite, sde,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +53,18 @@ def test_tracer_records_the_bound_layers(S2, cf_sin, cf_const):
         "sde._em_chunk",
     ):
         assert layer in names
+
+
+def test_tracer_records_the_taylor_stage_and_its_check():
+    tracer = _load("layertrace").Tracer()
+    cfg = named_suite(
+        "langevin-constant", stages=("structure", "taylor"),
+        sampler={"n_base": 4, "n_directions": 2, "levels": 4},
+    )
+    tracer.install()
+    try:
+        run_verification_suite(cfg)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"holder.taylor_remainder_check", "suites.taylor_stage"} <= names

@@ -270,6 +270,24 @@ def test_datumless_source_weight_matches_the_potential_stage():
 
 
 # ---------------------------------------------------------------------------
+# Taylor stage
+# ---------------------------------------------------------------------------
+
+
+def test_taylor_stage_honours_the_configured_time_window():
+    # the default window is (0.05 T, 0.9 T); a configured one must reach the
+    # remainder check instead of being overwritten by it
+    default = run_verification_suite(named_suite("langevin-constant", stages=("taylor",)))
+    narrow = run_verification_suite(
+        named_suite("langevin-constant", stages=("taylor",), sampler={"t_box": [0.2, 0.6]})
+    )
+    kink, narrow_kink = (_record(r, "taylor.kink-control") for r in (default, narrow))
+    assert kink.value == pytest.approx(3229.7357143439895, rel=1e-12)
+    assert narrow_kink.value == pytest.approx(2967.454056600686, rel=1e-12)
+    assert default.overall_pass and narrow.overall_pass
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
