@@ -157,8 +157,8 @@ def _slices(F, alpha: float, S: DriftStructure, spec: SamplerSpec, times: np.nda
 
     Recursive in alpha: full-increment quotients up to order 1; above it,
     the gradient components at order alpha-1 plus degenerate-direction
-    increment quotients at order alpha.  Each pair set is evaluated in one
-    call of F on the (times x points) rows.  Returns the per-slice values,
+    increment quotients at order alpha.  The bases and each side of the
+    pairs are evaluated in one call of F each.  Returns the per-slice values,
     the per-slice components, the per-slice argmax pairs as two (times, N)
     stacks (None without pairs) and the number of pairs per slice.
     """
@@ -172,14 +172,10 @@ def _slices(F, alpha: float, S: DriftStructure, spec: SamplerSpec, times: np.nda
         grad = np.max([value for value, *_ in sub], axis=0)
         n_pairs = sum(n for *_, n in sub)
     bases, px, py, dist = _increment_pairs(spec, S, degenerate_only=alpha > 1.0)
-    nb, m = len(bases), len(px)
-    pts = np.vstack([bases, px, py])
-    vals = _eval_st(F, np.repeat(times, len(pts)), np.tile(pts, (len(times), 1)))
-    vals = vals.reshape(len(times), len(pts))
-    sup = np.max(np.abs(vals[:, :nb]), axis=1)
+    sup = np.max(np.abs(_rows(F, times, bases)), axis=1)
     semi, arg = np.zeros(len(times)), None
-    if m:
-        quot = np.abs(vals[:, nb : nb + m] - vals[:, nb + m :]) / dist**alpha
+    if len(px):
+        quot = np.abs(_rows(F, times, px) - _rows(F, times, py)) / dist**alpha
         k = np.argmax(quot, axis=1)
         semi = quot[np.arange(len(times)), k]
         arg = (px[k], py[k])
@@ -187,7 +183,7 @@ def _slices(F, alpha: float, S: DriftStructure, spec: SamplerSpec, times: np.nda
         comps = {"sup": sup, "gradient": grad, "increment": semi}
     else:
         comps = {"sup": sup, "increment": semi}
-    return sum(comps.values()), comps, arg, n_pairs + m
+    return sum(comps.values()), comps, arg, n_pairs + len(px)
 
 
 def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) -> NormEstimate:
@@ -217,6 +213,12 @@ def _eval_st(F: Callable, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _rows(F: Callable, times: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """F at every (time, point) row, shaped (len(times), len(pts))."""
+    vals = _eval_st(F, np.repeat(times, len(pts)), np.tile(pts, (len(times), 1)))
+    return vals.reshape(len(times), len(pts))
+
+
 def lie_seminorm_est(F, alpha: float, S: DriftStructure, spec: SamplerSpec) -> NormEstimate:
     """Sampled sup of the flow-increment quotient along the drift.
 
@@ -235,15 +237,13 @@ def lie_seminorm_est(F, alpha: float, S: DriftStructure, spec: SamplerSpec) -> N
     ok = (s_all >= lo) & (s_all <= hi)
     taus, ss = np.broadcast_to(bases_t, s_all.shape)[ok], s_all[ok]
     xf = x @ expm_stack(S.B, ss - taus).transpose(0, 2, 1)  # (pair, point, N)
-    n_x = len(x)
-    after = _eval_st(F, np.repeat(ss, n_x), xf.reshape(-1, S.N))
-    before = _eval_st(F, np.repeat(taus, n_x), np.tile(x, (len(taus), 1)))
+    after = _eval_st(F, np.repeat(ss, len(x)), xf.reshape(-1, S.N)).reshape(xf.shape[:2])
     # scalar pow, element by element, for the reason taylor_remainder_check gives
     gap = np.asarray([g ** (0.5 * alpha) for g in np.abs(ss - taus).tolist()])
-    quot = np.abs(after - before).reshape(len(taus), n_x) / gap[:, None]
+    quot = np.abs(after - _rows(F, taus, x)) / gap[:, None]
     best, arg = 0.0, (None, None)
     if quot.size:
-        k, i = divmod(int(np.argmax(quot)), n_x)
+        k, i = np.unravel_index(np.argmax(quot), quot.shape)
         if quot[k, i] > 0:
             best = float(quot[k, i])
             arg = ((taus[k], x[i].copy()), (ss[k], xf[k, i].copy()))
