@@ -12,6 +12,7 @@ reproducible given the seed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -152,49 +153,51 @@ class _Partial:
         return np.asarray(self._grad(t, y))[:, self._i]
 
 
+_SliceNorms = namedtuple("_SliceNorms", "value components argmax n_pairs grads")
+
+
 def _slices(F, alpha: float, S: DriftStructure, spec: SamplerSpec, times: np.ndarray):
     """Anisotropic norm of every slice F(t, .) at the given times at once.
 
     Recursive in alpha: full-increment quotients up to order 1; above it,
     the gradient components at order alpha-1 plus degenerate-direction
     increment quotients at order alpha.  The bases and each side of the
-    pairs are evaluated in one call of F each.  Returns the per-slice values,
-    the per-slice components, the per-slice argmax pairs as two (times, N)
-    stacks (None without pairs) and the number of pairs per slice.
+    pairs are evaluated in one call of F each.  Returns the per-slice values
+    and components, the per-slice argmax pairs as two (times, N) stacks
+    (None without pairs), the number of pairs per slice and, above order 1,
+    the same result for each gradient component.
     """
     if not 0.0 < alpha <= 3.0:
         raise InvalidData(f"order must be in (0, 3], got {alpha}")
-    n_pairs = 0
+    grads = []
     if alpha > 1.0:
         if getattr(F, "grad_d", None) is None:
             raise MissingDerivative(f"order {alpha} requires an analytic gradient in x_1..x_d")
-        sub = [_slices(_Partial(F, i), alpha - 1.0, S, spec, times) for i in range(S.d)]
-        grad = np.max([value for value, *_ in sub], axis=0)
-        n_pairs = sum(n for *_, n in sub)
+        grads = [_slices(_Partial(F, i), alpha - 1.0, S, spec, times) for i in range(S.d)]
     bases, px, py, dist = _increment_pairs(spec, S, degenerate_only=alpha > 1.0)
-    sup = np.max(np.abs(_rows(F, times, bases)), axis=1)
+    comps = {"sup": np.max(np.abs(_rows(F, times, bases)), axis=1)}
+    if grads:
+        comps["gradient"] = np.max([g.value for g in grads], axis=0)
     semi, arg = np.zeros(len(times)), None
     if len(px):
         quot = np.abs(_rows(F, times, px) - _rows(F, times, py)) / dist**alpha
         k = np.argmax(quot, axis=1)
         semi = quot[np.arange(len(times)), k]
         arg = (px[k], py[k])
-    if alpha > 1.0:
-        comps = {"sup": sup, "gradient": grad, "increment": semi}
-    else:
-        comps = {"sup": sup, "increment": semi}
-    return sum(comps.values()), comps, arg, n_pairs + len(px)
+    comps["increment"] = semi
+    n_pairs = sum(g.n_pairs for g in grads) + len(px)
+    return _SliceNorms(sum(comps.values()), comps, arg, n_pairs, grads)
 
 
 def anisotropic_norm_est(g, alpha: float, S: DriftStructure, spec: SamplerSpec) -> NormEstimate:
     """Sampled anisotropic Holder norm of a spatial function: the slice
     engine on g lifted to a time-independent F, at one slice."""
-    value, comps, arg, n_pairs = _slices(_Static(g), alpha, S, spec, np.zeros(1))
+    sl = _slices(_Static(g), alpha, S, spec, np.zeros(1))
     return NormEstimate(
-        value=float(value[0]),
-        n_pairs=n_pairs,
-        argmax_pair=(None, None) if arg is None else (arg[0][0], arg[1][0]),
-        components={k: float(v[0]) for k, v in comps.items()},
+        value=float(sl.value[0]),
+        n_pairs=sl.n_pairs,
+        argmax_pair=(None, None) if sl.argmax is None else (sl.argmax[0][0], sl.argmax[1][0]),
+        components={k: float(v[0]) for k, v in sl.components.items()},
     )
 
 
@@ -238,7 +241,9 @@ def lie_seminorm_est(F, alpha: float, S: DriftStructure, spec: SamplerSpec) -> N
     taus, ss = np.broadcast_to(bases_t, s_all.shape)[ok], s_all[ok]
     xf = x @ expm_stack(S.B, ss - taus).transpose(0, 2, 1)  # (pair, point, N)
     after = _eval_st(F, np.repeat(ss, len(x)), xf.reshape(-1, S.N)).reshape(xf.shape[:2])
-    # scalar pow, element by element, for the reason taylor_remainder_check gives
+    # scalar pow, element by element, as in taylor_remainder_check; the
+    # flows come from one stack, so on a drift that is not nilpotent a
+    # quotient can still move in the last bit with the sampling plan
     gap = np.asarray([g ** (0.5 * alpha) for g in np.abs(ss - taus).tolist()])
     quot = np.abs(after - _rows(F, taus, x)) / gap[:, None]
     best, arg = 0.0, (None, None)
@@ -257,25 +262,25 @@ def sliced_anisotropic_sup(
 ) -> NormEstimate:
     """sup over sampled time slices of (optional weight) * ||F(s,.)||_anis."""
     times = _time_bases(spec)
-    value, _, arg, n_pairs = _slices(F, alpha, S, spec, times)
+    return _slice_sup(_slices(F, alpha, S, spec, times), times, weight)
+
+
+def _slice_sup(sl: _SliceNorms, times: np.ndarray, weight=None) -> NormEstimate:
+    value = sl.value
     if weight is not None:
         value = np.asarray([float(weight(s)) for s in times]) * value
     best, at = 0.0, (None, None)
     j = int(np.argmax(value))
     if value[j] > 0:
         best = float(value[j])
-        at = (times[j], (None, None) if arg is None else (arg[0][j], arg[1][j]))
+        at = (times[j], (None, None) if sl.argmax is None else (sl.argmax[0][j], sl.argmax[1][j]))
     return NormEstimate(
-        value=best, n_pairs=len(times) * n_pairs, argmax_pair=at, components={"sliced": best}
+        value=best, n_pairs=len(times) * sl.n_pairs, argmax_pair=at, components={"sliced": best}
     )
 
 
 def intrinsic_norm_est(
-    F,
-    alpha: float,
-    S: DriftStructure,
-    spec: SamplerSpec,
-    Yf: Optional[Callable] = None,
+    F, alpha: float, S: DriftStructure, spec: SamplerSpec, Yf: Optional[Callable] = None
 ) -> NormEstimate:
     """Sampled intrinsic Holder norm of a space-time function.
 
@@ -284,35 +289,30 @@ def intrinsic_norm_est(
     own intrinsic norm; in (2, 3] the flow quotient gives way to the sliced
     anisotropic norm of the Lie derivative Yf, which must be supplied.
     """
-    if not 0.0 < alpha <= 3.0:
-        raise InvalidData(f"order must be in (0, 3], got {alpha}")
-    sliced = sliced_anisotropic_sup(F, alpha, S, spec)
-    comps = {"sliced": sliced.value}
-    total = sliced.value
-    n_pairs = sliced.n_pairs
-    arg = sliced.argmax_pair
+    times = _time_bases(spec)
+    return _intrinsic(F, alpha, S, spec, Yf, times, _slices(F, alpha, S, spec, times))
+
+
+def _intrinsic(F, alpha, S, spec, Yf, times, sl: _SliceNorms) -> NormEstimate:
+    """intrinsic_norm_est from F's slice norms sl, reusing the gradient ones sl holds."""
+    sliced = _slice_sup(sl, times)
+    parts = [("sliced", sliced.value, sliced.n_pairs)]
     if alpha > 1.0:
         sub = [
-            intrinsic_norm_est(_Partial(F, i), alpha - 1.0, S, spec, Yf=None)
-            for i in range(S.d)
+            _intrinsic(_Partial(F, i), alpha - 1.0, S, spec, None, times, g)
+            for i, g in enumerate(sl.grads)
         ]
-        gpart = max(e.value for e in sub)
-        comps["gradient"] = gpart
-        total += gpart
-        n_pairs += sum(e.n_pairs for e in sub)
+        parts.append(("gradient", max(e.value for e in sub), sum(e.n_pairs for e in sub)))
     if alpha <= 2.0:
-        lie = lie_seminorm_est(F, alpha, S, spec)
-        comps["flow"] = lie.value
-        total += lie.value
-        n_pairs += lie.n_pairs
+        name, est = "flow", lie_seminorm_est(F, alpha, S, spec)
+    elif Yf is None:
+        raise MissingDerivative("intrinsic order > 2 requires the Lie derivative Yf")
     else:
-        if Yf is None:
-            raise MissingDerivative("intrinsic order > 2 requires the Lie derivative Yf")
-        drift = sliced_anisotropic_sup(Yf, alpha - 2.0, S, spec)
-        comps["drift"] = drift.value
-        total += drift.value
-        n_pairs += drift.n_pairs
-    return NormEstimate(value=total, n_pairs=n_pairs, argmax_pair=arg, components=comps)
+        name, est = "drift", sliced_anisotropic_sup(Yf, alpha - 2.0, S, spec)
+    parts.append((name, est.value, est.n_pairs))
+    comps = {k: v for k, v, _ in parts}
+    n_pairs = sum(n for *_, n in parts)
+    return NormEstimate(sum(comps.values()), n_pairs, sliced.argmax_pair, comps)
 
 
 def weighted_sup_norm(

@@ -262,10 +262,10 @@ class SuiteConfig:
         params = dict(self.sampler)
         params.setdefault("box", self.probe_box)
         params.setdefault("seed", self.seed)
-        params.setdefault("t_box", (0.05 * self.T, 0.9 * self.T))
         params.setdefault("n_base", 16)
         params.setdefault("n_directions", 4)
-        return SamplerSpec(**params)
+        # the time window is fixed, so a configured t_box is a TypeError
+        return SamplerSpec(**params, t_box=(0.05 * self.T, 0.9 * self.T))
 
     # -- serialization: one _SCHEMA row per field ------------------------------
     def to_json(self) -> dict:

@@ -285,6 +285,20 @@ def test_lie_estimates_are_pinned_and_their_argmax_is_honest(S2, alpha, value):
     assert quot / abs(s - tau) ** (0.5 * alpha) == pytest.approx(est.value, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alpha, value", [(0.5, 0.4818233999643857), (1.0, 0.5729878154124493), (2.0, 0.8103271396308174)]
+)
+def test_lie_estimates_on_a_drift_that_is_not_nilpotent_are_pinned(alpha, value):
+    # e^(uB) is not a finite series here, so the flows are rounded
+    S = block_structure(np.array([[0.3, 0.2], [1.0, -0.5]]), 1)
+    f = lambda t, y: np.sin(y[:, 0] + 0.37) * np.exp(-t / 2.0) + 0.5 * np.cos(y[:, 1])
+    est = lie_seminorm_est(f, alpha, S, PIN_SPEC)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.n_pairs == 10506
+    (tau, x), (s, xf) = est.argmax_pair
+    assert xf == pytest.approx(matrix_exp(S.B, s - tau) @ x, rel=1e-14)
+
+
 def test_weighted_slice_argmax_time_is_pinned(S2):
     # the slice norms grow like e^(2s) and the weight (1 - s)^(1/2) falls,
     # so the weighted sup sits inside the window, near s = 3/4
@@ -323,15 +337,22 @@ def test_abs_datum_norm_is_pinned(S2, alpha):
 
 def test_intrinsic_estimate_evaluates_F_in_a_handful_of_calls(S2):
     class Counted(SmoothF):
-        calls = 0
+        calls = grad_calls = 0
 
         def __call__(self, t, y):
             self.calls += 1
             return super().__call__(t, y)
 
+        def grad_d(self, t, y):
+            self.grad_calls += 1
+            return super().grad_d(t, y)
+
     f = Counted()
     intrinsic_norm_est(f, 1.5, S2, SamplerSpec(box=BOX))
     assert f.calls <= 8
+    # the gradient's slice norms are computed once, for the sliced part and
+    # the gradient part alike
+    assert f.grad_calls <= 5
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,12 @@ def test_config_with_every_field_set_round_trips_through_json():
         ("grids", "n_probe"),
         ("modules", "sde", "n_path"),
         ("modules", "sampler", "level"),
+        # the sampler's time window is fixed at (0.05 T, 0.9 T)
+        ("modules", "sampler", "t_box"),
         ("modules", "solver", "levi", "dept"),
     ],
-    ids=["top-level", "grids", "modules.sde", "modules.sampler", "modules.solver.levi"],
+    ids=["top-level", "grids", "modules.sde", "modules.sampler", "modules.sampler.t_box",
+         "modules.solver.levi"],
 )
 def test_unknown_config_key_is_rejected_naming_it(path):
     obj = named_suite("langevin-constant").to_json()
@@ -267,24 +270,6 @@ def test_datumless_source_weight_matches_the_potential_stage():
     assert potential.passed and blowup.passed
     assert blowup.value == potential.value
     assert [rec.name for rec in report.checks] == [potential.name, blowup.name]
-
-
-# ---------------------------------------------------------------------------
-# Taylor stage
-# ---------------------------------------------------------------------------
-
-
-def test_taylor_stage_honours_the_configured_time_window():
-    # the default window is (0.05 T, 0.9 T); a configured one must reach the
-    # remainder check instead of being overwritten by it
-    default = run_verification_suite(named_suite("langevin-constant", stages=("taylor",)))
-    narrow = run_verification_suite(
-        named_suite("langevin-constant", stages=("taylor",), sampler={"t_box": [0.2, 0.6]})
-    )
-    kink, narrow_kink = (_record(r, "taylor.kink-control") for r in (default, narrow))
-    assert kink.value == pytest.approx(3229.7357143439895, rel=1e-12)
-    assert narrow_kink.value == pytest.approx(2967.454056600686, rel=1e-12)
-    assert default.overall_pass and narrow.overall_pass
 
 
 # ---------------------------------------------------------------------------
